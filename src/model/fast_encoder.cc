@@ -1,7 +1,11 @@
 #include "model/fast_encoder.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "nn/backend.h"
+#include "nn/ops.h"
 #include "util/common.h"
 #include "util/string_util.h"
 
@@ -29,48 +33,38 @@ encodeForTraining(const CostModel& m, const dfir::DataflowGraph& g,
 
 namespace {
 
-/** y[out] (+)= x[in] * W[in,out] + b — row-vector linear, raw floats. */
+/**
+ * Rows per tile of the row-wise stages (LN, projections, FFN). Speed
+ * only: every row runs the same float ops at any tile size.
+ */
+constexpr int kTileRows = 16;
+
+/** Epsilon of the encoder's LayerNorm modules (nn::layerNormRows). */
+constexpr float kLnEps = 1e-5f;
+
+/**
+ * y[m, out] = x[m, in] * W + b as one row-tile GEMM. The bias is written
+ * first, so every element sums bias, then the ascending-k products
+ * (skipping zero x). Linear::forward adds the bias last instead; served
+ * values keep the bias-first order.
+ */
 void
-linearRow(const float* x, const nn::Tensor& w, const nn::Tensor& b, float* y)
+linearRows(const float* x, const nn::Linear& lin, float* y, int m)
 {
-    int in = w.rows, out = w.cols;
-    for (int j = 0; j < out; ++j)
-        y[j] = b.value[j];
-    for (int k = 0; k < in; ++k) {
-        float xv = x[k];
-        if (xv == 0.f)
-            continue;
-        const float* wrow = w.value.data() + size_t(k) * out;
-        for (int j = 0; j < out; ++j)
-            y[j] += xv * wrow[j];
-    }
+    const nn::Tensor& w = *lin.weight;
+    const float* bias = lin.bias->value.data();
+    for (int r = 0; r < m; ++r)
+        std::copy(bias, bias + w.cols, y + size_t(r) * w.cols);
+    nn::gemmAccum(x, w.value.data(), y, m, w.rows, w.cols);
 }
 
-/** In-place row layer norm with gain/bias. */
+/** Calls fn(first row, row count) for each tile of rows [begin, end). */
+template <typename Fn>
 void
-layerNormRow(const float* x, const nn::Tensor& gamma, const nn::Tensor& beta,
-             float* y, int n)
+forTiles(int begin, int end, const Fn& fn)
 {
-    float mean = 0.f;
-    for (int j = 0; j < n; ++j)
-        mean += x[j];
-    mean /= n;
-    float var = 0.f;
-    for (int j = 0; j < n; ++j) {
-        float d = x[j] - mean;
-        var += d * d;
-    }
-    var /= n;
-    float inv = 1.f / std::sqrt(var + 1e-5f);
-    for (int j = 0; j < n; ++j)
-        y[j] = gamma.value[j] * ((x[j] - mean) * inv) + beta.value[j];
-}
-
-float
-geluScalar(float v)
-{
-    float t = std::tanh(0.7978845608f * (v + 0.044715f * v * v * v));
-    return 0.5f * v * (1.f + t);
+    for (int r = begin; r < end; r += kTileRows)
+        fn(r, std::min(kTileRows, end - r));
 }
 
 } // namespace
@@ -118,173 +112,210 @@ InferenceSession::blocked(const Layout& lay, int i, int j)
 }
 
 std::vector<float>
-InferenceSession::forwardPooled(const EncodedProgram& ep, const Layout& lay,
-                                bool partial)
+InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
+                          const std::vector<Layout>& lays, bool partial,
+                          bool prime)
 {
-    // NOTE: forwardPooledBatch() is the cache-free batched twin of this
-    // function; keep every per-row float operation in lockstep (see the
-    // note there).
     const nn::TransformerEncoder& enc = model_.encoder();
-    const int n = lay.n;
+    const nn::Backend& be = nn::backend();
+    const int B = static_cast<int>(eps.size());
     const int d = enc.cfg.dim;
     const int heads = enc.cfg.heads;
     const int hd = d / heads;
     const int ffn = enc.cfg.ffn;
     const int layers = static_cast<int>(enc.blocks.size());
+    LLM_CHECK(B == 1 || !(partial || prime),
+              "the prefix cache holds a single sequence");
 
-    // Row is recomputed unless partial mode can serve it from cache.
-    std::vector<uint8_t> reuse(n, 0);
-    if (partial) {
-        for (int i = 0; i < n && i < cacheLen_; ++i)
-            reuse[i] = lay.reusable[i] && cacheReusable_[i];
+    // Ragged stacking: sequence b owns rows [off[b], off[b+1]) of every
+    // stacked buffer. No padding; attention never crosses a boundary.
+    std::vector<int> off(B + 1, 0);
+    int maxN = 0;
+    for (int b = 0; b < B; ++b) {
+        off[b + 1] = off[b] + lays[b].n;
+        maxN = std::max(maxN, lays[b].n);
     }
+    const int total = off[B];
+    auto seqOf = [&off](int r) {
+        return static_cast<int>(
+                   std::upper_bound(off.begin(), off.end(), r) -
+                   off.begin()) - 1;
+    };
 
-    if (!partial) {
-        cacheLayers_.assign(layers, {});
-        for (auto& lc : cacheLayers_) {
-            lc.k.assign(size_t(n) * d, 0.f);
-            lc.v.assign(size_t(n) * d, 0.f);
-            lc.hout.assign(size_t(n) * d, 0.f);
-        }
-        cacheH0_.assign(size_t(n) * d, 0.f);
+    // A row is computed unless partial mode serves it from the cache;
+    // the stages run over maximal runs of computed rows.
+    std::vector<uint8_t> reuse(total, 0);
+    if (partial) {
+        for (int r = 0; r < total && r < cacheLen_; ++r)
+            reuse[r] = lays[0].reusable[r] && cacheReusable_[r];
+    }
+    auto pullReused = [&](const std::vector<float>& cached,
+                          std::vector<float>& dst) {
+        for (int r = 0; r < total; ++r)
+            if (reuse[r])
+                std::copy_n(cached.begin() + size_t(r) * d, d,
+                            dst.begin() + size_t(r) * d);
+    };
+    std::vector<std::pair<int, int>> runs;
+    for (int r = 0; r < total; ++r) {
+        if (reuse[r])
+            continue;
+        if (!runs.empty() && runs.back().second == r)
+            ++runs.back().second;
+        else
+            runs.emplace_back(r, r + 1);
     }
 
     // ---- Embedding + positions ----
-    std::vector<float> h(size_t(n) * d);
-    const nn::Tensor& table = *enc.tok->table;
-    const nn::Tensor& pos = *enc.pos;
-    for (int i = 0; i < n; ++i) {
-        float* row = h.data() + size_t(i) * d;
-        if (reuse[i]) {
-            const float* src = cacheH0_.data() + size_t(i) * d;
-            std::copy(src, src + d, row);
-            ++stats_.rowsReused;
-            continue;
-        }
-        int tokid = ep.tokens[i];
-        const float* te = table.value.data() + size_t(tokid) * d;
-        const float* pe = pos.value.data() + size_t(i % enc.cfg.maxSeq) * d;
-        for (int j = 0; j < d; ++j)
-            row[j] = te[j] + pe[j];
-        ++stats_.rowsComputed;
-        if (!partial) {
-            float* dst = cacheH0_.data() + size_t(i) * d;
-            std::copy(row, row + d, dst);
+    std::vector<float> h(size_t(total) * d);
+    const float* table = enc.tok->table->value.data();
+    const float* pos = enc.pos->value.data();
+    for (int b = 0; b < B; ++b) {
+        for (int i = 0; i < lays[b].n; ++i) {
+            const int r = off[b] + i;
+            if (reuse[r]) {
+                ++stats_.rowsReused;
+                continue;
+            }
+            const float* te = table + size_t(eps[b]->tokens[i]) * d;
+            const float* pe = pos + size_t(i % enc.cfg.maxSeq) * d;
+            float* row = h.data() + size_t(r) * d;
+            for (int j = 0; j < d; ++j)
+                row[j] = te[j] + pe[j];
+            ++stats_.rowsComputed;
         }
     }
 
-    std::vector<float> ln(size_t(n) * d), q(size_t(n) * d), k(size_t(n) * d),
-        v(size_t(n) * d), ctx(size_t(n) * d), scratch(std::max(d, ffn));
-    float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+    // Full-size q/k/v (attention reads every row of a sequence) plus
+    // tile scratch: LN/projection outputs, attention context, the
+    // discarded LN xhat/invstd, and FFN hidden rows.
+    std::vector<float> q(size_t(total) * d), k(size_t(total) * d),
+        v(size_t(total) * d);
+    std::vector<float> a(size_t(kTileRows) * d), ctx(size_t(kTileRows) * d),
+        xhat(size_t(kTileRows) * d), invstd(kTileRows),
+        mid(size_t(kTileRows) * ffn), scores(maxN);
+    auto layerNorm = [&](const nn::LayerNorm& ln, const float* x, float* y,
+                         int m) {
+        be.layerNormRows(x, ln.gamma->value.data(), ln.beta->value.data(),
+                         kLnEps, y, xhat.data(), invstd.data(), m, d);
+    };
+    const float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+    if (prime)
+        cacheLayers_.resize(layers);
 
     for (int l = 0; l < layers; ++l) {
         const nn::TransformerBlock& blk = *enc.blocks[l];
-        LayerCache& lc = cacheLayers_[l];
 
-        // LN1 + QKV projections (dirty rows only; cached rows pull K/V).
-        for (int i = 0; i < n; ++i) {
-            float* qrow = q.data() + size_t(i) * d;
-            float* krow = k.data() + size_t(i) * d;
-            float* vrow = v.data() + size_t(i) * d;
-            if (reuse[i]) {
-                const float* ck = lc.k.data() + size_t(i) * d;
-                const float* cv = lc.v.data() + size_t(i) * d;
-                std::copy(ck, ck + d, krow);
-                std::copy(cv, cv + d, vrow);
-                continue;
-            }
-            float* lrow = ln.data() + size_t(i) * d;
-            layerNormRow(h.data() + size_t(i) * d, *blk.ln1->gamma,
-                         *blk.ln1->beta, lrow, d);
-            linearRow(lrow, *blk.attn->wq->weight, *blk.attn->wq->bias, qrow);
-            linearRow(lrow, *blk.attn->wk->weight, *blk.attn->wk->bias, krow);
-            linearRow(lrow, *blk.attn->wv->weight, *blk.attn->wv->bias, vrow);
-            if (!partial) {
-                std::copy(krow, krow + d, lc.k.data() + size_t(i) * d);
-                std::copy(vrow, vrow + d, lc.v.data() + size_t(i) * d);
-            }
+        // LN1 + Q/K/V projections of the computed rows; reused rows pull
+        // their K/V from the cache, and a priming forward stores its own.
+        for (const auto& run : runs) {
+            forTiles(run.first, run.second, [&](int r0, int m) {
+                const size_t o = size_t(r0) * d;
+                layerNorm(*blk.ln1, h.data() + o, a.data(), m);
+                linearRows(a.data(), *blk.attn->wq, q.data() + o, m);
+                linearRows(a.data(), *blk.attn->wk, k.data() + o, m);
+                linearRows(a.data(), *blk.attn->wv, v.data() + o, m);
+            });
         }
+        if (partial) {
+            pullReused(cacheLayers_[l].k, k);
+            pullReused(cacheLayers_[l].v, v);
+        }
+        if (prime)
+            cacheLayers_[l] = {k, v};
 
-        // Attention + FFN per row.
-        std::vector<float> scores(n);
-        for (int i = 0; i < n; ++i) {
-            float* hrow = h.data() + size_t(i) * d;
-            if (reuse[i]) {
-                const float* src = lc.hout.data() + size_t(i) * d;
-                std::copy(src, src + d, hrow);
-                continue;
-            }
-            float* crow = ctx.data() + size_t(i) * d;
-            for (int hh = 0; hh < heads; ++hh) {
-                const float* qh = q.data() + size_t(i) * d + hh * hd;
-                float mx = -1e30f;
-                for (int jj = 0; jj < n; ++jj) {
-                    if (blocked(lay, i, jj)) {
-                        scores[jj] = -1e30f;
-                        continue;
+        // Attention (per row, within its sequence), then output
+        // projection, LN2 and FFN per tile, each with its residual.
+        for (const auto& run : runs) {
+            forTiles(run.first, run.second, [&](int r0, int m) {
+                for (int t = 0; t < m; ++t) {
+                    const int r = r0 + t;
+                    const int b = seqOf(r);
+                    const Layout& lay = lays[b];
+                    const int i = r - off[b];
+                    const float* kb = k.data() + size_t(off[b]) * d;
+                    const float* vb = v.data() + size_t(off[b]) * d;
+                    for (int hh = 0; hh < heads; ++hh) {
+                        const float* qh = q.data() + size_t(r) * d + hh * hd;
+                        float mx = -1e30f;
+                        for (int jj = 0; jj < lay.n; ++jj) {
+                            if (blocked(lay, i, jj)) {
+                                scores[jj] = -1e30f;
+                                continue;
+                            }
+                            const float* kh = kb + size_t(jj) * d + hh * hd;
+                            float s = 0.f;
+                            for (int x = 0; x < hd; ++x)
+                                s += qh[x] * kh[x];
+                            s *= inv_sqrt;
+                            scores[jj] = s;
+                            mx = std::max(mx, s);
+                        }
+                        float sum = 0.f;
+                        for (int jj = 0; jj < lay.n; ++jj) {
+                            scores[jj] = std::exp(scores[jj] - mx);
+                            sum += scores[jj];
+                        }
+                        float invs = 1.f / sum;
+                        float* out = ctx.data() + size_t(t) * d + hh * hd;
+                        for (int x = 0; x < hd; ++x)
+                            out[x] = 0.f;
+                        for (int jj = 0; jj < lay.n; ++jj) {
+                            float w = scores[jj] * invs;
+                            if (w < 1e-9f)
+                                continue;
+                            const float* vh = vb + size_t(jj) * d + hh * hd;
+                            for (int x = 0; x < hd; ++x)
+                                out[x] += w * vh[x];
+                        }
                     }
-                    const float* kh = k.data() + size_t(jj) * d + hh * hd;
-                    float s = 0.f;
-                    for (int x = 0; x < hd; ++x)
-                        s += qh[x] * kh[x];
-                    s *= inv_sqrt;
-                    scores[jj] = s;
-                    mx = std::max(mx, s);
                 }
-                float sum = 0.f;
-                for (int jj = 0; jj < n; ++jj) {
-                    scores[jj] = std::exp(scores[jj] - mx);
-                    sum += scores[jj];
-                }
-                float invs = 1.f / sum;
-                float* out = crow + hh * hd;
-                for (int x = 0; x < hd; ++x)
-                    out[x] = 0.f;
-                for (int jj = 0; jj < n; ++jj) {
-                    float w = scores[jj] * invs;
-                    if (w < 1e-9f)
-                        continue;
-                    const float* vh = v.data() + size_t(jj) * d + hh * hd;
-                    for (int x = 0; x < hd; ++x)
-                        out[x] += w * vh[x];
-                }
-            }
-            // Output projection + residual.
-            linearRow(crow, *blk.attn->wo->weight, *blk.attn->wo->bias,
-                      scratch.data());
-            for (int x = 0; x < d; ++x)
-                hrow[x] += scratch[x];
-
-            // FFN with pre-LN + residual.
-            std::vector<float> f_in(d), f_mid(ffn);
-            layerNormRow(hrow, *blk.ln2->gamma, *blk.ln2->beta, f_in.data(),
-                         d);
-            linearRow(f_in.data(), *blk.ff1->weight, *blk.ff1->bias,
-                      f_mid.data());
-            for (int x = 0; x < ffn; ++x)
-                f_mid[x] = geluScalar(f_mid[x]);
-            linearRow(f_mid.data(), *blk.ff2->weight, *blk.ff2->bias,
-                      scratch.data());
-            for (int x = 0; x < d; ++x)
-                hrow[x] += scratch[x];
-
-            if (!partial) {
-                float* dst = lc.hout.data() + size_t(i) * d;
-                std::copy(hrow, hrow + d, dst);
-            }
+                float* hrows = h.data() + size_t(r0) * d;
+                const size_t md = size_t(m) * d;
+                linearRows(ctx.data(), *blk.attn->wo, a.data(), m);
+                for (size_t x = 0; x < md; ++x)
+                    hrows[x] += a[x];
+                layerNorm(*blk.ln2, hrows, a.data(), m);
+                linearRows(a.data(), *blk.ff1, mid.data(), m);
+                be.geluForward(mid.data(), mid.data(), size_t(m) * ffn);
+                linearRows(mid.data(), *blk.ff2, a.data(), m);
+                for (size_t x = 0; x < md; ++x)
+                    hrows[x] += a[x];
+            });
         }
     }
 
-    // Final LN + mean pool.
-    std::vector<float> pooled(d, 0.f), lrow(d);
-    for (int i = 0; i < n; ++i) {
-        layerNormRow(h.data() + size_t(i) * d, *enc.lnFinal->gamma,
-                     *enc.lnFinal->beta, lrow.data(), d);
-        for (int j = 0; j < d; ++j)
-            pooled[j] += lrow[j];
+    // Reused rows take their cached last-block output. A cached row's
+    // K/V and output ignore the changed data's multi-hop influence — the
+    // Section 5.3 approximation.
+    if (partial) {
+        pullReused(cacheOut_, h);
+        ++stats_.cachedForwards;
+    } else {
+        stats_.fullForwards += B;
     }
-    for (int j = 0; j < d; ++j)
-        pooled[j] /= n;
+    if (prime) {
+        cacheOut_ = h;
+        cacheValid_ = true;
+        cacheKey_ = lays[0].staticKey;
+        cacheLen_ = lays[0].n;
+        cacheReusable_ = lays[0].reusable;
+    }
+
+    // Final LN + per-sequence mean pool.
+    std::vector<float> pooled(size_t(B) * d, 0.f);
+    forTiles(0, total, [&](int r0, int m) {
+        layerNorm(*enc.lnFinal, h.data() + size_t(r0) * d, a.data(), m);
+        for (int t = 0; t < m; ++t) {
+            float* prow = pooled.data() + size_t(seqOf(r0 + t)) * d;
+            const float* lrow = a.data() + size_t(t) * d;
+            for (int j = 0; j < d; ++j)
+                prow[j] += lrow[j];
+        }
+    });
+    for (int b = 0; b < B; ++b)
+        for (int j = 0; j < d; ++j)
+            pooled[size_t(b) * d + j] /= lays[b].n;
     return pooled;
 }
 
@@ -292,179 +323,25 @@ nn::TensorPtr
 InferenceSession::forwardPooledBatch(
     const std::vector<const EncodedProgram*>& eps)
 {
-    // NOTE: this is the batched twin of forwardPooled() below, minus
-    // the prefix-cache reuse logic. The two must stay in bitwise
-    // lockstep per row (same kernels, same per-row op order, same
-    // -1e30f mask and w < 1e-9f skip) — any numeric change here must
-    // be mirrored there and vice versa. The contract is pinned by
-    // tests/test_nn_batch.cc (InferenceSessionBatch) and
-    // tests/test_serve.cc.
     LLM_CHECK(!eps.empty(), "forwardPooledBatch with no encodings");
-    const nn::TransformerEncoder& enc = model_.encoder();
-    const int B = static_cast<int>(eps.size());
-    const int d = enc.cfg.dim;
-    const int heads = enc.cfg.heads;
-    const int hd = d / heads;
-    const int ffn = enc.cfg.ffn;
-    const int layers = static_cast<int>(enc.blocks.size());
-
-    // Ragged stacking: sequence b owns rows [off[b], off[b+1]) of every
-    // stacked activation buffer. No padding — the fast path has no
-    // fixed-shape tensors to satisfy, so padded rows would be pure waste.
     std::vector<Layout> lays;
-    std::vector<int> off(B + 1, 0);
     lays.reserve(eps.size());
-    for (int b = 0; b < B; ++b) {
-        lays.push_back(computeLayout(*eps[b]));
-        off[b + 1] = off[b] + lays[b].n;
-    }
-    const int total = off[B];
-
-    // ---- Embedding + positions, all rows ----
-    std::vector<float> h(size_t(total) * d);
-    const nn::Tensor& table = *enc.tok->table;
-    const nn::Tensor& pos = *enc.pos;
-    for (int b = 0; b < B; ++b) {
-        for (int i = 0; i < lays[b].n; ++i) {
-            float* row = h.data() + size_t(off[b] + i) * d;
-            const float* te =
-                table.value.data() + size_t(eps[b]->tokens[i]) * d;
-            const float* pe =
-                pos.value.data() + size_t(i % enc.cfg.maxSeq) * d;
-            for (int j = 0; j < d; ++j)
-                row[j] = te[j] + pe[j];
-        }
-    }
-    stats_.rowsComputed += total;
-
-    std::vector<float> ln(size_t(total) * d), q(size_t(total) * d),
-        k(size_t(total) * d), v(size_t(total) * d), ctx(size_t(total) * d),
-        scratch(std::max(d, ffn));
-    std::vector<float> f_in(d), f_mid(ffn);
-    float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
-
-    for (int l = 0; l < layers; ++l) {
-        const nn::TransformerBlock& blk = *enc.blocks[l];
-
-        // Stage 1 — LN1 + Q/K/V projections across the whole batch: the
-        // projection weights stream through cache once per stage instead
-        // of once per sequence.
-        for (int r = 0; r < total; ++r) {
-            float* lrow = ln.data() + size_t(r) * d;
-            layerNormRow(h.data() + size_t(r) * d, *blk.ln1->gamma,
-                         *blk.ln1->beta, lrow, d);
-            linearRow(lrow, *blk.attn->wq->weight, *blk.attn->wq->bias,
-                      q.data() + size_t(r) * d);
-            linearRow(lrow, *blk.attn->wk->weight, *blk.attn->wk->bias,
-                      k.data() + size_t(r) * d);
-            linearRow(lrow, *blk.attn->wv->weight, *blk.attn->wv->bias,
-                      v.data() + size_t(r) * d);
-        }
-
-        // Stage 2 — attention + FFN, per sequence block (scores never
-        // cross a block boundary).
-        for (int b = 0; b < B; ++b) {
-            const Layout& lay = lays[b];
-            const int n = lay.n;
-            const float* kb = k.data() + size_t(off[b]) * d;
-            const float* vb = v.data() + size_t(off[b]) * d;
-            std::vector<float> scores(n);
-            for (int i = 0; i < n; ++i) {
-                float* hrow = h.data() + size_t(off[b] + i) * d;
-                float* crow = ctx.data() + size_t(off[b] + i) * d;
-                for (int hh = 0; hh < heads; ++hh) {
-                    const float* qh =
-                        q.data() + size_t(off[b] + i) * d + hh * hd;
-                    float mx = -1e30f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        if (blocked(lay, i, jj)) {
-                            scores[jj] = -1e30f;
-                            continue;
-                        }
-                        const float* kh = kb + size_t(jj) * d + hh * hd;
-                        float s = 0.f;
-                        for (int x = 0; x < hd; ++x)
-                            s += qh[x] * kh[x];
-                        s *= inv_sqrt;
-                        scores[jj] = s;
-                        mx = std::max(mx, s);
-                    }
-                    float sum = 0.f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        scores[jj] = std::exp(scores[jj] - mx);
-                        sum += scores[jj];
-                    }
-                    float invs = 1.f / sum;
-                    float* out = crow + hh * hd;
-                    for (int x = 0; x < hd; ++x)
-                        out[x] = 0.f;
-                    for (int jj = 0; jj < n; ++jj) {
-                        float w = scores[jj] * invs;
-                        if (w < 1e-9f)
-                            continue;
-                        const float* vh = vb + size_t(jj) * d + hh * hd;
-                        for (int x = 0; x < hd; ++x)
-                            out[x] += w * vh[x];
-                    }
-                }
-                // Output projection + residual.
-                linearRow(crow, *blk.attn->wo->weight, *blk.attn->wo->bias,
-                          scratch.data());
-                for (int x = 0; x < d; ++x)
-                    hrow[x] += scratch[x];
-
-                // FFN with pre-LN + residual.
-                layerNormRow(hrow, *blk.ln2->gamma, *blk.ln2->beta,
-                             f_in.data(), d);
-                linearRow(f_in.data(), *blk.ff1->weight, *blk.ff1->bias,
-                          f_mid.data());
-                for (int x = 0; x < ffn; ++x)
-                    f_mid[x] = geluScalar(f_mid[x]);
-                linearRow(f_mid.data(), *blk.ff2->weight, *blk.ff2->bias,
-                          scratch.data());
-                for (int x = 0; x < d; ++x)
-                    hrow[x] += scratch[x];
-            }
-        }
-    }
-
-    // Final LN + per-sequence mean pool.
-    auto out = nn::Tensor::zeros(B, d);
-    std::vector<float> lrow(d);
-    for (int b = 0; b < B; ++b) {
-        float* prow = out->value.data() + size_t(b) * d;
-        for (int i = 0; i < lays[b].n; ++i) {
-            layerNormRow(h.data() + size_t(off[b] + i) * d,
-                         *enc.lnFinal->gamma, *enc.lnFinal->beta,
-                         lrow.data(), d);
-            for (int j = 0; j < d; ++j)
-                prow[j] += lrow[j];
-        }
-        for (int j = 0; j < d; ++j)
-            prow[j] /= lays[b].n;
-    }
-    stats_.fullForwards += B;
-    return out;
+    for (const EncodedProgram* ep : eps)
+        lays.push_back(computeLayout(*ep));
+    return nn::Tensor::fromData(static_cast<int>(eps.size()),
+                                model_.encoder().cfg.dim,
+                                forward(eps, lays, false, false));
 }
 
 nn::TensorPtr
 InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
 {
-    Layout lay = computeLayout(ep);
+    std::vector<Layout> lays{computeLayout(ep)};
+    const Layout& lay = lays[0];
     bool partial = use_cache && cacheValid_ && cacheKey_ == lay.staticKey &&
                    cacheLen_ >= lay.staticLen;
-    std::vector<float> pooled = forwardPooled(ep, lay, partial);
-    if (partial) {
-        ++stats_.cachedForwards;
-    } else {
-        ++stats_.fullForwards;
-        cacheValid_ = true;
-        cacheKey_ = lay.staticKey;
-        cacheLen_ = lay.n;
-        cacheReusable_ = lay.reusable;
-    }
-    int dim = static_cast<int>(pooled.size());
-    return nn::Tensor::fromData(1, dim, std::move(pooled));
+    return nn::Tensor::fromData(1, model_.encoder().cfg.dim,
+                                forward({&ep}, lays, partial, !partial));
 }
 
 NumericPrediction

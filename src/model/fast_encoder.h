@@ -9,10 +9,17 @@
  * encoder with a progressive operator cache: when consecutive predictions
  * share the static program prefix {G, Op, Params} and differ only in the
  * runtime data segment, the session reuses the cached per-layer K/V rows
- * and block outputs of *static-reusable* rows (Class I operators and the
- * hardware-parameter segment, which the separation mask of Section 5.2
- * decouples from data) and recomputes only the dynamic rows (graph
- * function, Class II operators, data).
+ * and final block outputs of *static-reusable* rows (Class I operators
+ * and the hardware-parameter segment, which the separation mask of
+ * Section 5.2 decouples from data) and recomputes only the dynamic rows
+ * (graph function, Class II operators, data).
+ *
+ * Single, cached and batched calls all run one transformer forward over
+ * raggedly stacked rows. Its row-wise stages (LN, Q/K/V, output
+ * projection, FFN) run in fixed-size row tiles through the active
+ * nn::Backend kernels (nn::gemmAccum, layerNormRows, geluForward), so
+ * served values are bit-identical under every backend; attention runs
+ * per row within its sequence.
  *
  * As in the paper (Figure 6 and its corner-region discussion), reuse of a
  * cached row's block output ignores multi-hop influence of the changed
@@ -60,7 +67,12 @@ struct SessionStats
     long rowsReused = 0;     //!< transformer rows served from cache
 };
 
-/** Cached, autograd-free inference over a trained CostModel. */
+/**
+ * Cached, autograd-free inference over a trained CostModel. pooled(),
+ * predict() and forwardPooledBatch() are thin callers of one private
+ * forward, so a batch row and a single uncached call are the same
+ * computation.
+ */
 class InferenceSession
 {
   public:
@@ -86,10 +98,10 @@ class InferenceSession
     /**
      * Batched autograd-free pooled forward: one pass over B encodings,
      * returning pooled rows [B, dim]. Row i is bit-identical to
-     * pooled(*eps[i], use_cache=false) — sequences never interact,
-     * and every row runs the exact per-row float-op sequence of the
-     * sequential fast path. The prefix cache is neither consulted nor
-     * re-primed (batch traffic has no single "previous" program), so
+     * pooled(*eps[i], use_cache=false) — sequences never interact, and
+     * the forward's per-row float ops do not depend on which rows share
+     * a tile. The prefix cache is neither consulted nor re-primed
+     * (batch traffic has no single "previous" program), so
      * interleaving batched and cached calls is safe. This is the
      * serving workers' per-micro-batch entry point.
      */
@@ -105,17 +117,16 @@ class InferenceSession
     const CostModel& model_;
     SessionStats stats_;
 
-    // ---- cache of the last static prefix ----
+    // ---- cache of the last static prefix (set by a priming forward) ----
     bool cacheValid_ = false;
     uint64_t cacheKey_ = 0;
     int cacheLen_ = 0; //!< rows covered by the cache (static prefix)
-    std::vector<float> cacheH0_; //!< embedding+position rows
     struct LayerCache
     {
-        std::vector<float> k, v;  //!< projected keys/values [len, dim]
-        std::vector<float> hout;  //!< block outputs [len, dim]
+        std::vector<float> k, v; //!< projected keys/values [len, dim]
     };
     std::vector<LayerCache> cacheLayers_;
+    std::vector<float> cacheOut_;        //!< last block outputs [len, dim]
     std::vector<uint8_t> cacheReusable_; //!< per-row reuse eligibility
 
     /** Rows + reusability + static length + key for a program. */
@@ -134,12 +145,14 @@ class InferenceSession
     static bool blocked(const Layout& lay, int i, int j);
 
     /**
-     * Forward pass. When 'partial' is true, rows flagged reusable are
-     * served from the cache; otherwise everything is computed and the
-     * cache re-primed.
+     * The transformer forward over eps stacked raggedly (lays[b] is
+     * eps[b]'s layout), returning pooled rows [B * dim]. With 'partial',
+     * rows flagged reusable are served from the cache; with 'prime', this
+     * forward's K/V and outputs become the cache. Both need B == 1.
      */
-    std::vector<float> forwardPooled(const EncodedProgram& ep,
-                                     const Layout& lay, bool partial);
+    std::vector<float> forward(const std::vector<const EncodedProgram*>& eps,
+                               const std::vector<Layout>& lays, bool partial,
+                               bool prime);
 };
 
 } // namespace model

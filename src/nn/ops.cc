@@ -67,6 +67,14 @@ countGemm(GemmKernel kernel, const Backend& be, uint64_t flops)
 
 } // namespace
 
+void
+gemmAccum(const float* a, const float* b, float* c, int m, int k, int n)
+{
+    const Backend& be = backend();
+    be.gemmAccum(a, b, c, m, k, n);
+    countGemm(kGemmAccum, be, 2ull * uint64_t(m) * uint64_t(k) * uint64_t(n));
+}
+
 TensorPtr
 matmul(const TensorPtr& a, const TensorPtr& b)
 {
@@ -74,14 +82,8 @@ matmul(const TensorPtr& a, const TensorPtr& b)
               "matmul shape mismatch " << a->rows << "x" << a->cols << " * "
                                        << b->rows << "x" << b->cols);
     auto out = Tensor::zeros(a->rows, b->cols);
-    {
-        const Backend& be = backend();
-        be.gemmAccum(a->value.data(), b->value.data(), out->value.data(),
-                     a->rows, a->cols, b->cols);
-        countGemm(kGemmAccum, be,
-                  2ull * uint64_t(a->rows) * uint64_t(a->cols) *
-                      uint64_t(b->cols));
-    }
+    gemmAccum(a->value.data(), b->value.data(), out->value.data(), a->rows,
+              a->cols, b->cols);
     if (anyRequiresGrad(a, b)) {
         out->requiresGrad = true;
         out->parents = {a, b};

@@ -20,6 +20,14 @@
 namespace llmulator {
 namespace nn {
 
+/**
+ * Raw C[m,n] += A[m,k] * B[k,n] (dense row-major floats) on the active
+ * backend, counted in nn.gemm_accum.<backend>.{calls,flops}. The one
+ * forward GEMM entry point: matmul and the autograd-free
+ * model::InferenceSession both dispatch through it.
+ */
+void gemmAccum(const float* a, const float* b, float* c, int m, int k, int n);
+
 /** C[m,n] = A[m,k] * B[k,n]. */
 TensorPtr matmul(const TensorPtr& a, const TensorPtr& b);
 

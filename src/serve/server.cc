@@ -311,9 +311,10 @@ PredictionServer::processBatch(std::vector<Request>& batch,
 
     // ONE batched autograd-free encoder forward for the whole
     // micro-batch: every distinct (program, input) contributes one row.
-    // Bit-identical to running InferenceSession::pooled() per group
-    // sequentially (forwardPooledBatch's contract), so batching changes
-    // throughput, never results. The prefix-reuse cache stays off: its
+    // pooled() and forwardPooledBatch() run the session's one forward,
+    // and a row never depends on the rows stacked beside it, so this is
+    // bit-identical to InferenceSession::pooled() per group: batching
+    // changes throughput, never results. The prefix-reuse cache stays off: its
     // documented Class-I approximation would make results depend on
     // request order, breaking the batched == sequential guarantee.
     std::vector<model::EncodedProgram> eps;

@@ -14,11 +14,13 @@
  * (InferenceSession::forwardPooledBatch — paper Section 5.3's fast path
  * without its prefix-reuse approximation), followed by one batched
  * digit-head decode per requested metric. No training tape is built on
- * the serving path. Results are identical bit for bit to running the
- * sequential fast path per request — batching and grouping only share
- * work, they never change any row's computation (the forwardPooledBatch
- * / decodeBatch contracts) — and agree with CostModel::predict() up to
- * its documented fast/slow-path tolerance.
+ * the serving path. The session has one forward over the nn::Backend
+ * kernels, shared by batched and single calls, so results are identical
+ * bit for bit to serving each request alone under either backend —
+ * batching and grouping only share work, they never change any row's
+ * computation (the forwardPooledBatch / decodeBatch contracts) — and
+ * agree with CostModel::predict() up to its documented fast/slow-path
+ * tolerance.
  *
  * Finished predictions land in a sharded LRU ResultCache keyed by
  * (program DFIR hash, runtime-input hash, metric); repeated queries are

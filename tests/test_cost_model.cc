@@ -296,6 +296,27 @@ TEST(FastEncoder, CacheHitReusesRowsAndKeepsPrediction)
     EXPECT_EQ(exact.digits.size(), cached.digits.size());
 }
 
+TEST(FastEncoder, CacheHitOnSameEncodingReproducesUncachedRow)
+{
+    CostModel m(tinyConfig());
+    auto g = makeGraph({makeScale(8), makeThreshold()});
+    RuntimeData data;
+    data.scalars["N"] = 16;
+    auto ep = m.encode(g, &data);
+
+    model::InferenceSession fresh(m);
+    auto exact = fresh.pooled(ep, false);
+
+    // Nothing changed between the two calls, so the rows the hit serves
+    // from the cache must reproduce the uncached forward exactly.
+    model::InferenceSession session(m);
+    session.pooled(ep, true); // miss: primes the cache
+    auto cached = session.pooled(ep, true);
+    EXPECT_EQ(session.stats().cachedForwards, 1);
+    EXPECT_GT(session.stats().rowsReused, 0);
+    EXPECT_EQ(cached->value, exact->value);
+}
+
 TEST(FastEncoder, StaticPrefixChangeInvalidatesCache)
 {
     auto cfg = tinyConfig();

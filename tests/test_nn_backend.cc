@@ -6,7 +6,8 @@
  *     bit-for-bit the scalar reference's results — raw kernels across
  *     odd/tiny/large shapes and zero-heavy inputs, full
  *     forward+backward autograd graphs (values AND gradients), and a
- *     complete minibatch-training run.
+ *     complete minibatch-training run, and the autograd-free
+ *     InferenceSession forward (uncached, cache-hit and batched calls).
  *  2. Cache-key exclusion: because backends are interchangeable bit for
  *     bit, backend choice is NOT part of model-cache keys — parameters
  *     stored under one backend must hit and load bitwise under the
@@ -29,6 +30,8 @@
 
 #include "eval/model_cache.h"
 #include "harness/trainer.h"
+#include "model/cost_model.h"
+#include "model/fast_encoder.h"
 #include "nn/backend.h"
 #include "nn/batch.h"
 #include "nn/layers.h"
@@ -36,6 +39,7 @@
 #include "nn/tensor.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "workloads/workloads.h"
 
 #include <unistd.h>
 
@@ -344,6 +348,50 @@ TEST(NnBackend, TrainingTrajectoryBitIdentity)
     for (size_t i = 0; i < s.params.size(); ++i)
         EXPECT_TRUE(bitEqual(s.params[i], v.params[i]))
             << "trained parameter " << i;
+}
+
+/**
+ * InferenceSession pooled rows under one backend: an uncached call that
+ * primes the prefix cache, a data-only change served as a cache hit,
+ * and a mixed batch.
+ */
+std::vector<std::vector<float>>
+runSession(const nn::Backend& be)
+{
+    BackendGuard guard;
+    nn::setBackend(be);
+
+    model::CostModel m(model::configForScale(model::ModelScale::Small));
+    // seidel-2d's canonical data and first variant share the static
+    // prefix, so the second call below is a cache hit.
+    workloads::Workload w;
+    for (const auto& cand : workloads::polybench())
+        if (cand.name == "seidel-2d")
+            w = cand;
+    auto canon = m.encode(w.graph, &w.canonicalData);
+    auto variant = m.encode(w.graph, &w.variants.at(0));
+    auto stat = m.encode(w.graph, nullptr);
+
+    model::InferenceSession session(m);
+    std::vector<std::vector<float>> out;
+    out.push_back(session.pooled(canon, /*use_cache=*/false)->value);
+    out.push_back(session.pooled(variant, /*use_cache=*/true)->value);
+    EXPECT_EQ(session.stats().cachedForwards, 1);
+    EXPECT_GT(session.stats().rowsReused, 0);
+    out.push_back(
+        session.forwardPooledBatch({&canon, &variant, &stat})->value);
+    return out;
+}
+
+TEST(NnBackend, InferenceSessionBitIdentity)
+{
+    auto s = runSession(nn::scalarBackend());
+    auto v = runSession(nn::vectorBackend());
+    ASSERT_EQ(s.size(), v.size());
+    const char* what[] = {"uncached pooled", "cache-hit pooled",
+                          "batched pooled"};
+    for (size_t i = 0; i < s.size(); ++i)
+        EXPECT_TRUE(bitEqual(s[i], v[i])) << what[i];
 }
 
 TEST(NnBackend, ModelCacheKeysExcludeBackend)

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dfir/builder.h"
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
@@ -87,6 +89,23 @@ makeGraph(const std::string& name, long bias)
     g.name = name;
     g.ops = {op};
     g.calls = {{"scale"}};
+    return g;
+}
+
+/** makeGraph's operator repeated under `copies` distinct names. */
+DataflowGraph
+makeChainGraph(const std::string& name, int copies)
+{
+    DataflowGraph g = makeGraph(name, 1);
+    const Operator base = g.ops[0];
+    g.ops.clear();
+    g.calls.clear();
+    for (int i = 0; i < copies; ++i) {
+        Operator op = base;
+        op.name = "scale" + std::to_string(i);
+        g.ops.push_back(op);
+        g.calls.push_back({op.name});
+    }
     return g;
 }
 
@@ -316,23 +335,44 @@ TEST(InferenceSessionBatch, ForwardPooledBatchMatchesSequential)
     model::CostModel m(tinyModelConfig());
     DataflowGraph g1 = makeGraph("x", 3), g2 = makeGraph("y", 4);
     RuntimeData d = makeData(20);
-    auto epA = m.encode(g1, nullptr);
-    auto epB = m.encode(g2, &d);
-    auto epC = m.encode(g2, nullptr);
+    // Mixed lengths stack the sequences at unaligned row offsets, so the
+    // forward's row tiles straddle sequence boundaries. The long chain is
+    // encoded by a model with a wider position table, so it reaches the
+    // session longer than maxSeq and is truncated there.
+    auto wideCfg = tinyModelConfig();
+    wideCfg.enc.maxSeq = 2 * m.config().enc.maxSeq;
+    model::CostModel wide(wideCfg);
+    std::vector<model::EncodedProgram> encs = {
+        m.encode(g1, nullptr),
+        m.encode(g2, &d),
+        m.encode(g2, nullptr),
+        wide.encode(makeChainGraph("long", 20), &d),
+        m.encode(makeChainGraph("two", 2), nullptr),
+        m.encode(makeChainGraph("three", 3), &d),
+    };
+    const int maxSeq = m.config().enc.maxSeq;
+    ASSERT_GT(encs[3].length(), maxSeq);
+    std::vector<const model::EncodedProgram*> eps;
+    std::set<int> lengths;
+    for (const auto& ep : encs) {
+        eps.push_back(&ep);
+        lengths.insert(std::min(ep.length(), maxSeq));
+    }
+    EXPECT_GE(lengths.size(), 4u) << "lengths must be mixed";
 
     model::InferenceSession batchSession(m);
-    nn::TensorPtr batch =
-        batchSession.forwardPooledBatch({&epA, &epB, &epC});
-    ASSERT_EQ(batch->rows, 3);
-    EXPECT_EQ(batchSession.stats().fullForwards, 3);
+    nn::TensorPtr batch = batchSession.forwardPooledBatch(eps);
+    const int B = static_cast<int>(eps.size());
+    ASSERT_EQ(batch->rows, B);
+    EXPECT_EQ(batchSession.stats().fullForwards, B);
 
     model::InferenceSession seq(m);
-    const model::EncodedProgram* eps[] = {&epA, &epB, &epC};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < B; ++i) {
         nn::TensorPtr ref = seq.pooled(*eps[i], /*use_cache=*/false);
         EXPECT_EQ(rowSpan(batch, i, 1), rowSpan(ref, 0, 1))
             << "fast-path pooled row " << i;
     }
+    EXPECT_EQ(batchSession.stats().rowsComputed, seq.stats().rowsComputed);
 }
 
 TEST(DigitHeadBatch, DecodeBatchMatchesSequentialDecode)
