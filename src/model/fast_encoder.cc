@@ -42,6 +42,12 @@ constexpr int kTileRows = 16;
 /** Epsilon of the encoder's LayerNorm modules (nn::layerNormRows). */
 constexpr float kLnEps = 1e-5f;
 
+/** Attention score of a masked key, and the running max's start. */
+constexpr float kMasked = -1e30f;
+
+/** Attention weights below this are dropped from the context sum. */
+constexpr float kMinWeight = 1e-9f;
+
 /**
  * y[m, out] = x[m, in] * W + b as one row-tile GEMM. The bias is written
  * first, so every element sums bias, then the ascending-k products
@@ -102,13 +108,6 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
         key = util::hashCombine(key, static_cast<uint64_t>(ep.tokens[i]));
     lay.staticKey = key;
     return lay;
-}
-
-bool
-InferenceSession::blocked(const Layout& lay, int i, int j)
-{
-    return (lay.classIRow[i] && lay.dataRow[j]) ||
-           (lay.dataRow[i] && lay.classIRow[j]);
 }
 
 std::vector<float>
@@ -187,19 +186,99 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
     }
 
     // Full-size q/k/v (attention reads every row of a sequence) plus
-    // tile scratch: LN/projection outputs, attention context, the
-    // discarded LN xhat/invstd, and FFN hidden rows.
+    // tile scratch: LN/projection outputs, the discarded LN xhat/invstd,
+    // and FFN hidden rows.
     std::vector<float> q(size_t(total) * d), k(size_t(total) * d),
         v(size_t(total) * d);
-    std::vector<float> a(size_t(kTileRows) * d), ctx(size_t(kTileRows) * d),
-        xhat(size_t(kTileRows) * d), invstd(kTileRows),
-        mid(size_t(kTileRows) * ffn), scores(maxN);
+    std::vector<float> a(size_t(kTileRows) * d), xhat(size_t(kTileRows) * d),
+        invstd(kTileRows), mid(size_t(kTileRows) * ffn);
+    // Attention scratch: one sequence's head panels K_h [n, hd] and
+    // V_h^T [hd, n], and one query tile's Q_h^T [hd, m], S^T [n, m]
+    // (scores, then weights) and context^T [hd, m].
+    std::vector<float> kh(size_t(maxN) * hd), vt(size_t(hd) * maxN),
+        qt(size_t(hd) * kTileRows), st(size_t(maxN) * kTileRows),
+        ct(size_t(hd) * kTileRows);
     auto layerNorm = [&](const nn::LayerNorm& ln, const float* x, float* y,
                          int m) {
         be.layerNormRows(x, ln.gamma->value.data(), ln.beta->value.data(),
                          kLnEps, y, xhat.data(), invstd.data(), m, d);
     };
     const float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+
+    // One head's attention for query rows [r0, r0 + m) of sequence b,
+    // whose panels are in kh/vt. Both products are transposed so their
+    // output rows are m wide: S^T = K_h Q_h^T, then a softmax down each
+    // column, then ctx^T = V_h^T P^T. gemmAccum starts every element at
+    // +0 and adds the ascending-k terms, skipping zero multipliers, so
+    // each score and context element is the plain `s = 0; s += q * k`
+    // and `out = 0; out += w * v` chain (a skipped or zeroed term adds
+    // ±0 to an accumulator that is never -0). Each row's context then
+    // overwrites its own q slice, which no later head reads.
+    auto attendTile = [&](int b, int hh, int r0, int m) {
+        const Layout& lay = lays[b];
+        const int n = lay.n;
+        const int i0 = r0 - off[b];
+        for (int t = 0; t < m; ++t) {
+            const float* qrow = q.data() + size_t(r0 + t) * d + hh * hd;
+            for (int x = 0; x < hd; ++x)
+                qt[size_t(x) * m + t] = qrow[x];
+        }
+        std::fill_n(st.begin(), size_t(n) * m, 0.f);
+        nn::gemmAccum(kh.data(), qt.data(), st.data(), n, hd, m);
+
+        // Scale, separation mask (mirrors buildSeparationMask: a Class I
+        // row and a data row never attend to each other) and column max.
+        float mx[kTileRows], sum[kTileRows];
+        uint8_t qClassI[kTileRows], qData[kTileRows];
+        for (int t = 0; t < m; ++t) {
+            mx[t] = kMasked;
+            sum[t] = 0.f;
+            qClassI[t] = lay.classIRow[i0 + t];
+            qData[t] = lay.dataRow[i0 + t];
+        }
+        for (int j = 0; j < n; ++j) {
+            float* srow = st.data() + size_t(j) * m;
+            const uint8_t kData = lay.dataRow[j], kClassI = lay.classIRow[j];
+            for (int t = 0; t < m; ++t) {
+                if ((qClassI[t] && kData) || (qData[t] && kClassI)) {
+                    srow[t] = kMasked;
+                    continue;
+                }
+                srow[t] *= inv_sqrt;
+                mx[t] = std::max(mx[t], srow[t]);
+            }
+        }
+        // exp(kMasked - mx) is exactly +0 once mx is above kMasked, so
+        // those terms skip the exp; an all-masked column (mx == kMasked)
+        // keeps exp(0) on every key.
+        for (int j = 0; j < n; ++j) {
+            float* srow = st.data() + size_t(j) * m;
+            for (int t = 0; t < m; ++t) {
+                float& p = srow[t];
+                p = (p == kMasked && mx[t] > kMasked) ? 0.f
+                                                      : std::exp(p - mx[t]);
+                sum[t] += p;
+            }
+        }
+        for (int t = 0; t < m; ++t)
+            sum[t] = 1.f / sum[t];
+        for (int j = 0; j < n; ++j) {
+            float* srow = st.data() + size_t(j) * m;
+            for (int t = 0; t < m; ++t) {
+                const float w = srow[t] * sum[t];
+                srow[t] = w < kMinWeight ? 0.f : w;
+            }
+        }
+
+        std::fill_n(ct.begin(), size_t(hd) * m, 0.f);
+        nn::gemmAccum(vt.data(), st.data(), ct.data(), hd, n, m);
+        for (int t = 0; t < m; ++t) {
+            float* out = q.data() + size_t(r0 + t) * d + hh * hd;
+            for (int x = 0; x < hd; ++x)
+                out[x] = ct[size_t(x) * m + t];
+        }
+    };
+
     if (prime)
         cacheLayers_.resize(layers);
 
@@ -224,55 +303,32 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
         if (prime)
             cacheLayers_[l] = {k, v};
 
-        // Attention (per row, within its sequence), then output
-        // projection, LN2 and FFN per tile, each with its residual.
+        // Attention over every sequence's keys, in query tiles that stay
+        // inside one sequence and one computed run.
+        for (int b = 0; b < B; ++b) {
+            const int n = lays[b].n;
+            for (int hh = 0; hh < heads; ++hh) {
+                for (int j = 0; j < n; ++j) {
+                    const size_t src = size_t(off[b] + j) * d + hh * hd;
+                    std::copy_n(k.begin() + src, hd,
+                                kh.begin() + size_t(j) * hd);
+                    for (int x = 0; x < hd; ++x)
+                        vt[size_t(x) * n + j] = v[src + x];
+                }
+                for (const auto& run : runs)
+                    forTiles(std::max(run.first, off[b]),
+                             std::min(run.second, off[b + 1]),
+                             [&](int r0, int m) { attendTile(b, hh, r0, m); });
+            }
+        }
+
+        // Output projection, LN2 and FFN per tile, each with its residual.
         for (const auto& run : runs) {
             forTiles(run.first, run.second, [&](int r0, int m) {
-                for (int t = 0; t < m; ++t) {
-                    const int r = r0 + t;
-                    const int b = seqOf(r);
-                    const Layout& lay = lays[b];
-                    const int i = r - off[b];
-                    const float* kb = k.data() + size_t(off[b]) * d;
-                    const float* vb = v.data() + size_t(off[b]) * d;
-                    for (int hh = 0; hh < heads; ++hh) {
-                        const float* qh = q.data() + size_t(r) * d + hh * hd;
-                        float mx = -1e30f;
-                        for (int jj = 0; jj < lay.n; ++jj) {
-                            if (blocked(lay, i, jj)) {
-                                scores[jj] = -1e30f;
-                                continue;
-                            }
-                            const float* kh = kb + size_t(jj) * d + hh * hd;
-                            float s = 0.f;
-                            for (int x = 0; x < hd; ++x)
-                                s += qh[x] * kh[x];
-                            s *= inv_sqrt;
-                            scores[jj] = s;
-                            mx = std::max(mx, s);
-                        }
-                        float sum = 0.f;
-                        for (int jj = 0; jj < lay.n; ++jj) {
-                            scores[jj] = std::exp(scores[jj] - mx);
-                            sum += scores[jj];
-                        }
-                        float invs = 1.f / sum;
-                        float* out = ctx.data() + size_t(t) * d + hh * hd;
-                        for (int x = 0; x < hd; ++x)
-                            out[x] = 0.f;
-                        for (int jj = 0; jj < lay.n; ++jj) {
-                            float w = scores[jj] * invs;
-                            if (w < 1e-9f)
-                                continue;
-                            const float* vh = vb + size_t(jj) * d + hh * hd;
-                            for (int x = 0; x < hd; ++x)
-                                out[x] += w * vh[x];
-                        }
-                    }
-                }
                 float* hrows = h.data() + size_t(r0) * d;
                 const size_t md = size_t(m) * d;
-                linearRows(ctx.data(), *blk.attn->wo, a.data(), m);
+                linearRows(q.data() + size_t(r0) * d, *blk.attn->wo,
+                           a.data(), m);
                 for (size_t x = 0; x < md; ++x)
                     hrows[x] += a[x];
                 layerNorm(*blk.ln2, hrows, a.data(), m);

@@ -17,9 +17,12 @@
  * Single, cached and batched calls all run one transformer forward over
  * raggedly stacked rows. Its row-wise stages (LN, Q/K/V, output
  * projection, FFN) run in fixed-size row tiles through the active
- * nn::Backend kernels (nn::gemmAccum, layerNormRows, geluForward), so
- * served values are bit-identical under every backend; attention runs
- * per row within its sequence.
+ * nn::Backend kernels (nn::gemmAccum, layerNormRows, geluForward).
+ * Attention runs per sequence and head in query tiles of one sequence:
+ * two nn::gemmAccum products per tile (transposed scores K_h Q_h^T and
+ * context V_h^T P^T) around a column-wise masked softmax. Each score and
+ * context element keeps the plain ascending-key sum of a per-row loop,
+ * so served values are bit-identical under every backend.
  *
  * As in the paper (Figure 6 and its corner-region discussion), reuse of a
  * cached row's block output ignores multi-hop influence of the changed
@@ -71,7 +74,8 @@ struct SessionStats
  * Cached, autograd-free inference over a trained CostModel. pooled(),
  * predict() and forwardPooledBatch() are thin callers of one private
  * forward, so a batch row and a single uncached call are the same
- * computation.
+ * computation. That forward's attention is two gemmAccum products per
+ * (sequence, head, query tile), not a per-row loop.
  */
 class InferenceSession
 {
@@ -140,9 +144,6 @@ class InferenceSession
         std::vector<uint8_t> classIRow;//!< rows inside Class I operators
     };
     Layout computeLayout(const EncodedProgram& ep) const;
-
-    /** Separation-mask predicate (mirrors buildSeparationMask). */
-    static bool blocked(const Layout& lay, int i, int j);
 
     /**
      * The transformer forward over eps stacked raggedly (lays[b] is

@@ -1,5 +1,6 @@
 #include "net/fleet_server.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
@@ -132,6 +133,7 @@ FleetServer::acceptLoop()
     // stop() only needs to flip the flag — no signal or socket trick
     // required to wake this thread portably.
     while (!stopped_.load(std::memory_order_acquire)) {
+        reapConnections();
         pollfd pfd{listenFd_, POLLIN, 0};
         int pr = ::poll(&pfd, 1, /*timeout_ms=*/50);
         if (pr <= 0)
@@ -176,8 +178,37 @@ FleetServer::connectionLoop(int fd)
         // recycled descriptor.
         std::lock_guard<std::mutex> lk(connMu_);
         connFds_.erase(fd);
+        finishedConns_.push_back(std::this_thread::get_id());
     }
     ::close(fd);
+}
+
+void
+FleetServer::reapConnections()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        for (std::thread::id id : finishedConns_) {
+            auto it = std::find_if(
+                connThreads_.begin(), connThreads_.end(),
+                [id](const std::thread& t) { return t.get_id() == id; });
+            done.push_back(std::move(*it));
+            connThreads_.erase(it);
+        }
+        finishedConns_.clear();
+    }
+    // A finished thread has at most its close() left, so these joins
+    // return promptly.
+    for (std::thread& t : done)
+        t.join();
+}
+
+size_t
+FleetServer::connectionThreads() const
+{
+    std::lock_guard<std::mutex> lk(connMu_);
+    return connThreads_.size();
 }
 
 NetResponse

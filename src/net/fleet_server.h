@@ -162,6 +162,13 @@ class FleetServer
     }
 
     FleetStats stats() const;
+
+    /**
+     * Connection thread objects held: live connections plus finished
+     * ones the accept loop has not joined yet. Exposed for tests.
+     */
+    size_t connectionThreads() const;
+
     const obs::Registry& telemetry() const { return telemetry_; }
     size_t shardCount() const { return shards_.size(); }
     serve::PredictionServer& shard(size_t i) { return *shards_[i]; }
@@ -170,6 +177,8 @@ class FleetServer
   private:
     void acceptLoop();
     void connectionLoop(int fd);
+    /** Join and drop the connection threads that have finished. */
+    void reapConnections();
 
     FleetConfig cfg_;
     std::vector<std::unique_ptr<serve::PredictionServer>> shards_;
@@ -181,9 +190,10 @@ class FleetServer
     std::atomic<bool> running_{false};
     std::atomic<bool> stopped_{false};
     std::thread acceptThread_;
-    std::mutex connMu_;
+    mutable std::mutex connMu_;
     std::set<int> connFds_; //!< live connections (for shutdown wakeup)
     std::vector<std::thread> connThreads_;
+    std::vector<std::thread::id> finishedConns_; //!< awaiting a join
 
     //! Always-on per-instance registry backing FleetStats.
     obs::Registry telemetry_{/*alwaysOn=*/true};

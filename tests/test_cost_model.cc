@@ -2,10 +2,13 @@
  * @file
  * CostModel + calibration + acceleration tests: segment encoding, the
  * separation mask, SFT trainability, DPO convergence toward profiled
- * truth, and cache consistency of the fast inference path.
+ * truth, and cache consistency of the fast inference path, whose pooled
+ * rows are also pinned bit for bit against a plain per-row reference.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -13,9 +16,11 @@
 #include "dfir/builder.h"
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
+#include "nn/kernels.h"
 #include "nn/optim.h"
 #include "nn/ops.h"
 #include "sim/profiler.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -315,6 +320,215 @@ TEST(FastEncoder, CacheHitOnSameEncodingReproducesUncachedRow)
     EXPECT_EQ(session.stats().cachedForwards, 1);
     EXPECT_GT(session.stats().rowsReused, 0);
     EXPECT_EQ(cached->value, exact->value);
+}
+
+/** Counts of the attention events a reference forward went through. */
+struct ReferenceTally
+{
+    long maskedPairs = 0;    //!< (query, key) pairs the separation mask cut
+    long droppedWeights = 0; //!< open keys whose weight fell below 1e-9
+};
+
+/**
+ * The session's encoder forward written as plain per-row loops over the
+ * encoder's public weights, in the float order served values follow:
+ * bias-first linear layers (ascending-k sums that skip zero inputs),
+ * LayerNorm and GELU as the scalar backend computes them, and per-row,
+ * per-head attention with the -1e30 separation mask and weights below
+ * 1e-9 left out of the context. Returns the mean-pooled row [dim].
+ */
+std::vector<float>
+referencePooled(const CostModel& m, const model::EncodedProgram& ep,
+                ReferenceTally& tally)
+{
+    const nn::TransformerEncoder& enc = m.encoder();
+    const int d = enc.cfg.dim;
+    const int hd = d / enc.cfg.heads;
+    const int n = std::min(ep.length(), enc.cfg.maxSeq);
+    std::vector<uint8_t> dataRow(n, 0), classIRow(n, 0);
+    for (const auto& r : ep.ranges)
+        for (int i = r.begin; i < r.end && i < n; ++i) {
+            dataRow[i] |= r.kind == model::SegmentKind::Data;
+            classIRow[i] |= r.kind == model::SegmentKind::Op && r.classI;
+        }
+
+    auto linear = [](const nn::Linear& lin, const float* x, float* y) {
+        const int in = lin.weight->rows, out = lin.weight->cols;
+        const float* w = lin.weight->value.data();
+        for (int o = 0; o < out; ++o)
+            y[o] = lin.bias->value[o];
+        for (int p = 0; p < in; ++p) {
+            if (x[p] == 0.f)
+                continue;
+            for (int o = 0; o < out; ++o)
+                y[o] += x[p] * w[size_t(p) * out + o];
+        }
+    };
+    auto layerNorm = [d](const nn::LayerNorm& ln, const float* x, float* y) {
+        float mean = 0.f;
+        for (int j = 0; j < d; ++j)
+            mean += x[j];
+        mean /= d;
+        float var = 0.f;
+        for (int j = 0; j < d; ++j) {
+            float dv = x[j] - mean;
+            var += dv * dv;
+        }
+        var /= d;
+        float is = 1.f / std::sqrt(var + 1e-5f);
+        for (int j = 0; j < d; ++j)
+            y[j] = ln.gamma->value[j] * ((x[j] - mean) * is) +
+                   ln.beta->value[j];
+    };
+
+    std::vector<float> h(size_t(n) * d);
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < d; ++j)
+            h[size_t(i) * d + j] =
+                enc.tok->table->value[size_t(ep.tokens[i]) * d + j] +
+                enc.pos->value[size_t(i % enc.cfg.maxSeq) * d + j];
+
+    const float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+    std::vector<float> a(d), q(size_t(n) * d), k(size_t(n) * d),
+        v(size_t(n) * d), ctx(d), proj(d), mid(enc.cfg.ffn), scores(n);
+    for (const auto& blk : enc.blocks) {
+        for (int i = 0; i < n; ++i) {
+            layerNorm(*blk->ln1, &h[size_t(i) * d], a.data());
+            linear(*blk->attn->wq, a.data(), &q[size_t(i) * d]);
+            linear(*blk->attn->wk, a.data(), &k[size_t(i) * d]);
+            linear(*blk->attn->wv, a.data(), &v[size_t(i) * d]);
+        }
+        // Every row's attention reads this layer's q/k/v only, so the
+        // residual updates below may run row by row.
+        for (int i = 0; i < n; ++i) {
+            for (int hh = 0; hh < enc.cfg.heads; ++hh) {
+                const float* qh = &q[size_t(i) * d + hh * hd];
+                float mx = -1e30f;
+                for (int j = 0; j < n; ++j) {
+                    if ((classIRow[i] && dataRow[j]) ||
+                        (dataRow[i] && classIRow[j])) {
+                        scores[j] = -1e30f;
+                        ++tally.maskedPairs;
+                        continue;
+                    }
+                    const float* kh = &k[size_t(j) * d + hh * hd];
+                    float s = 0.f;
+                    for (int x = 0; x < hd; ++x)
+                        s += qh[x] * kh[x];
+                    s *= inv_sqrt;
+                    scores[j] = s;
+                    mx = std::max(mx, s);
+                }
+                float sum = 0.f;
+                for (int j = 0; j < n; ++j) {
+                    scores[j] = std::exp(scores[j] - mx);
+                    sum += scores[j];
+                }
+                float invs = 1.f / sum;
+                float* out = &ctx[hh * hd];
+                std::fill(out, out + hd, 0.f);
+                for (int j = 0; j < n; ++j) {
+                    float w = scores[j] * invs;
+                    if (w < 1e-9f) {
+                        tally.droppedWeights += scores[j] > 0.f;
+                        continue;
+                    }
+                    const float* vh = &v[size_t(j) * d + hh * hd];
+                    for (int x = 0; x < hd; ++x)
+                        out[x] += w * vh[x];
+                }
+            }
+            float* row = &h[size_t(i) * d];
+            linear(*blk->attn->wo, ctx.data(), proj.data());
+            for (int j = 0; j < d; ++j)
+                row[j] += proj[j];
+            layerNorm(*blk->ln2, row, a.data());
+            linear(*blk->ff1, a.data(), mid.data());
+            for (float& x : mid) {
+                float t = std::tanh(nn::kernels::kGeluC *
+                                    (x + nn::kernels::kGeluA * x * x * x));
+                x = 0.5f * x * (1.f + t);
+            }
+            linear(*blk->ff2, mid.data(), proj.data());
+            for (int j = 0; j < d; ++j)
+                row[j] += proj[j];
+        }
+    }
+
+    std::vector<float> pooled(d, 0.f);
+    for (int i = 0; i < n; ++i) {
+        layerNorm(*enc.lnFinal, &h[size_t(i) * d], a.data());
+        for (int j = 0; j < d; ++j)
+            pooled[j] += a[j];
+    }
+    for (float& x : pooled)
+        x /= n;
+    return pooled;
+}
+
+bool
+bitEqual(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(FastEncoder, SessionMatchesPlainReferenceForwardBitForBit)
+{
+    for (auto scale : {model::ModelScale::Tiny, model::ModelScale::Small}) {
+        auto cfg = model::configForScale(scale);
+        cfg.enc.maxSeq = 320;
+        CostModel m(cfg);
+        // Sharpen the attention of the seeded model so some weights fall
+        // below the 1e-9 cut, as they do in a trained one.
+        for (const auto& blk : m.encoder().blocks)
+            for (float& w : blk->attn->wq->weight->value)
+                w *= 12.f;
+
+        // Runtime-data encodings (a data segment next to Class I
+        // operators, so the separation mask cuts pairs) plus one static.
+        std::vector<model::EncodedProgram> eps;
+        const auto modern = workloads::modern();
+        for (const auto& w : modern) {
+            eps.push_back(m.encode(w.graph, &w.canonicalData));
+            if (!w.variants.empty())
+                eps.push_back(m.encode(w.graph, &w.variants.front()));
+        }
+        eps.push_back(m.encode(modern.front().graph));
+
+        ReferenceTally tally;
+        std::vector<std::vector<float>> ref;
+        for (const auto& ep : eps)
+            ref.push_back(referencePooled(m, ep, tally));
+        EXPECT_GT(tally.maskedPairs, 0);
+        EXPECT_GT(tally.droppedWeights, 0);
+
+        model::InferenceSession session(m);
+        for (size_t i = 0; i < eps.size(); ++i) {
+            EXPECT_TRUE(bitEqual(session.pooled(eps[i], false)->value,
+                                 ref[i]))
+                << "uncached, encoding " << i;
+            session.pooled(eps[i], true); // primes the prefix cache
+            const long hits = session.stats().cachedForwards;
+            EXPECT_TRUE(bitEqual(session.pooled(eps[i], true)->value,
+                                 ref[i]))
+                << "cache hit, encoding " << i;
+            EXPECT_EQ(session.stats().cachedForwards, hits + 1);
+        }
+        for (size_t i = 0; i < eps.size(); i += 8) {
+            std::vector<const model::EncodedProgram*> batch;
+            for (size_t j = i; j < eps.size() && j < i + 8; ++j)
+                batch.push_back(&eps[j]);
+            auto rows = session.forwardPooledBatch(batch);
+            for (size_t j = 0; j < batch.size(); ++j) {
+                std::vector<float> row(
+                    rows->value.begin() + j * cfg.enc.dim,
+                    rows->value.begin() + (j + 1) * cfg.enc.dim);
+                EXPECT_TRUE(bitEqual(row, ref[i + j]))
+                    << "batched, encoding " << i + j;
+            }
+        }
+    }
 }
 
 TEST(FastEncoder, StaticPrefixChangeInvalidatesCache)

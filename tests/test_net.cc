@@ -8,7 +8,8 @@
  * in-process serving path, canonical-hash shard stability (equivalent
  * mutants hit the same shard's cache), overload answered with an
  * explicit OVERLOADED status under 8 client threads without deadlock
- * (TSan job coverage), and persistent-cache warm restart.
+ * (TSan job coverage), finished connection threads joined while the
+ * server runs, and persistent-cache warm restart.
  *
  * Like test_serve, every suite runs an *untrained* Tiny model: weight
  * initialization is seeded, so two separately constructed models have
@@ -519,6 +520,30 @@ TEST(FleetServer, UnparsableProgramAnswersBadRequestAndKeepsConnection)
                                serve::Priority::Normal, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().badRequest, 1u);
+}
+
+TEST(FleetServer, ClosedConnectionThreadsAreReaped)
+{
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.maxConnections = 4;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+
+    // Each cycle is served (one round trip) before it closes, so every
+    // connection got a thread. Finished threads must be joined as new
+    // connections arrive, not held until stop().
+    net::NetRequest req;
+    req.program = "not a program";
+    for (int i = 0; i < 100; ++i) {
+        net::FleetClient client;
+        ASSERT_TRUE(client.connectLoopback(fleet.port()));
+        net::NetResponse resp;
+        ASSERT_TRUE(client.call(req, resp));
+        EXPECT_EQ(resp.status, net::Status::BadRequest);
+    }
+    EXPECT_LE(fleet.connectionThreads(), size_t(cfg.maxConnections));
+    EXPECT_EQ(fleet.stats().badRequest, 100u);
 }
 
 TEST(FleetServer, OverloadAnswersExplicitlyUnderEightClientThreads)
