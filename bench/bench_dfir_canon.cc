@@ -3,13 +3,11 @@
  * DFIR canonicalization benchmark: throughput of the full pass pipeline
  * over the workload corpus, canonical-hash latency, and the serve
  * result-cache hit-rate delta between raw structural keys and canonical
- * keys on a stream of semantically equivalent program mutants
- * (renamed values, commuted operands, injected dead code, and
- * proven-legal loop interchanges), plus the schedule-family hit rate
- * (dfir::scheduleFamilyHash via net::PersistentResultCache::
- * recordFamily) on the same stream — the family key also collapses the
- * interchange mutants that exact canonical keys must miss — and the
- * synthesizer dataset redundancy under both keys (synth::datasetStats).
+ * keys on a stream of program mutants. The stream mixes semantically
+ * equivalent rewrites (renamed values, commuted operands, injected dead
+ * code), which canonical keys must collapse, with proven-legal loop
+ * interchanges (synth::scheduleMutant), which are new programs with new
+ * cycle counts and so must miss under canonical keys.
  *
  * Emits `name,metric,value` CSV lines; `--quick` shrinks the mutant
  * stream and timing repetitions for CI smoke runs.
@@ -20,10 +18,7 @@
 
 #include "bench_common.h"
 #include "dfir/passes.h"
-#include "dfir/schedule.h"
-#include "net/persist_cache.h"
 #include "serve/result_cache.h"
-#include "synth/dataset.h"
 #include "synth/generators.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -126,9 +121,8 @@ main(int argc, char** argv)
     // base query followed by semantically identical rewrites. Canonical
     // keys should collapse each family to one entry; raw keys miss on
     // every rename. Legal-interchange mutants are part of the stream
-    // too: exact canonical keys miss them by design (the schedule moved,
-    // so cycles moved), which is exactly the gap the family rows below
-    // measure.
+    // too: canonical keys miss them by design (the schedule moved, so
+    // cycles moved).
     std::vector<Query> stream;
     util::Rng rng(20260809);
     size_t interchanges = 0;
@@ -165,39 +159,5 @@ main(int argc, char** argv)
     bench::csv("bench_dfir_canon", "hit_rate_raw", hit_raw);
     bench::csv("bench_dfir_canon", "hit_rate_canonical", hit_canon);
     bench::csv("bench_dfir_canon", "hit_rate_delta", hit_canon - hit_raw);
-
-    // Family hit rate on the same stream, recorded the way the fleet
-    // front-end would: PersistentResultCache::recordFamily alongside
-    // each probe. Families are statistics only — the exact ResultKey
-    // path above is untouched — but on this stream the family key also
-    // collapses the interchange mutants, so hit_rate_family >=
-    // hit_rate_canonical.
-    {
-        net::PersistentResultCache cache(4096);
-        for (const auto& q : stream)
-            cache.recordFamily(dfir::scheduleFamilyHash(q.graph));
-        net::PersistentResultCache::FamilyStats fs = cache.familyStats();
-        bench::csv("bench_dfir_canon", "hit_rate_family",
-                   fs.probes ? double(fs.hits) / double(fs.probes) : 0.0);
-        bench::csv("bench_dfir_canon", "family_distinct",
-                   double(fs.distinct));
-        bench::csv("bench_dfir_canon", "hit_rate_family_delta",
-                   (fs.probes ? double(fs.hits) / double(fs.probes) : 0.0) -
-                       hit_canon);
-    }
-
-    // Synthesizer dataset redundancy under exact vs family keys.
-    {
-        synth::SynthConfig cfg;
-        cfg.numPrograms = quick ? 12 : 48;
-        cfg.inputVariants = false; // program structure is what matters
-        synth::DatasetStats ds = synth::datasetStats(synth::synthesize(cfg));
-        bench::csv("bench_dfir_canon", "dataset_samples",
-                   double(ds.samples));
-        bench::csv("bench_dfir_canon", "dataset_distinct_canonical",
-                   double(ds.distinctCanonical));
-        bench::csv("bench_dfir_canon", "dataset_distinct_families",
-                   double(ds.distinctFamilies));
-    }
     return 0;
 }

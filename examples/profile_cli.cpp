@@ -11,8 +11,8 @@
  *   ./profile_cli --trace out.json ...  # export trace spans
  *                                       # (chrome://tracing JSON)
  *   ./profile_cli --schedule ...        # dependence-analysis report
- *                                       # (nests, legal interchanges,
- *                                       # canonical vs family hash)
+ *                                       # (canonical hash, nests,
+ *                                       # legal interchanges)
  *
  * Scalar runtime inputs can be appended to the program text as
  * "name = value" lines.
@@ -140,8 +140,8 @@ main(int argc, char** argv)
     }
 
     // --schedule: static dependence-analysis diagnostic (nest shapes,
-    // affinity, legal interchange pairs, reductions) plus the exact
-    // cache key next to the analysis-only schedule-family key.
+    // affinity, legal interchange pairs, reductions) under the exact
+    // cache key.
     if (schedule) {
         std::printf("\nschedule analysis:\n%s",
                     dfir::scheduleReport(res.graph).str().c_str());

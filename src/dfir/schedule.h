@@ -5,12 +5,11 @@
  * @file
  * Schedule-aware dependence analysis over the dataflow IR.
  *
- * PR 6's canonicalization pipeline deliberately stopped at rewrites a
- * pure semantics argument covers (renames, commuted operands, dead
- * code). Equivalences that change the *schedule* — loop-interchange
- * families like the accelerator GEMM variants — need a dependence
- * argument: an interchange is only meaning-preserving when no
- * loop-carried dependence flips direction under it. This module
+ * The canonicalization pipeline (dfir/passes.h) stops at rewrites a pure
+ * semantics argument covers (renames, commuted operands, dead code).
+ * Changing the *schedule* — e.g. swapping loop levels — needs a
+ * dependence argument: an interchange is only meaning-preserving when
+ * no loop-carried dependence flips direction under it. This module
  * provides that argument as a static analysis:
  *
  *  - nest extraction: the maximal perfect loop band of each top-level
@@ -27,30 +26,18 @@
  *    loop-carried vectors);
  *  - interchangeLegal(nest, i, j): no kept direction vector becomes
  *    lexicographically negative when levels i and j swap, no band
- *    bound references a band variable, and — preserving the repo's
- *    bit-identity culture — no floating-point reduction accumulates
- *    over both swapped loops (detectReductions flags accumulators of
- *    the form T[idx] = T[idx] op ..., op in {+, *, min, max});
+ *    bound references a band variable, and no floating-point reduction
+ *    accumulates over both swapped loops (findReductions flags
+ *    accumulators of the form T[idx] = T[idx] op ..., op in
+ *    {+, *, min, max}), so a legal interchange keeps bit-identical
+ *    values.
  *
- * and a schedule-family key built on top of it:
- *
- *  - scheduleCanonicalize(g): canonicalize, neutralize mapping knobs
- *    (unroll/parallel pragmas, hardware parameters), sort every legal
- *    interchange band into a canonical loop order (legality-gated
- *    bubble sort by a name-independent per-loop signature), rename
- *    tensors positionally (T0, T1, ... by first use) and break
- *    symmetric-operand ties with a tensor-name-blind operand order;
- *  - scheduleFamilyHash(g): structuralHash of that representative.
- *
- * The family hash is ANALYSIS-ONLY, by contract: it renames tensors,
- * which the exact pipeline must never do (the simulator synthesizes
- * pseudo-data keyed by tensor name, so a tensor rename changes ground
- * truth), and it erases mapping knobs that move cycles. It therefore
- * never keys the serve result cache or the model cache — those stay on
- * dfir::canonicalHash bit for bit. Its consumers are statistics and
- * diagnostics: family hit-rate reporting (bench_dfir_canon,
- * net::PersistentResultCache::recordFamily), dataset dedup stats
- * (synth::datasetStats) and the profile_cli --schedule report.
+ * Consumers: the synthesizer's loop-interchange mutations
+ * (synth::scheduleMutant and the mutateProgram interchange), the
+ * verifier's non-affine-subscript warnings (classifySubscript) and the
+ * profile_cli --schedule report. An interchanged program is a new
+ * program with new cycle counts: its dfir::canonicalHash differs from
+ * the original's, and canonicalHash is the only program-equivalence key.
  */
 
 #include <cstdint>
@@ -170,24 +157,6 @@ AccessClass classifySubscript(const ExprPtr& idx,
                               const std::vector<std::string>& loop_vars,
                               const std::set<std::string>& invariant);
 
-/**
- * The schedule-family representative: canonicalize, erase mapping
- * knobs (unroll/parallel, hardware params), sort legal interchange
- * bands into canonical order, rename tensors positionally and order
- * symmetric operands tensor-blind. ANALYSIS-ONLY — see the file
- * comment; never feed this to the simulator or a result-cache key.
- */
-DataflowGraph scheduleCanonicalize(const DataflowGraph& g);
-
-/**
- * structuralHash(scheduleCanonicalize(g)): one key per schedule
- * family. All legal-interchange variants of a nest (e.g. the
- * accelerator GEMM loop orders), tensor renamings and mapping-knob
- * variations of one kernel collide; programs whose interchange is
- * dependence-blocked do not.
- */
-uint64_t scheduleFamilyHash(const DataflowGraph& g);
-
 /** Per-nest summary row of scheduleReport. */
 struct NestReport
 {
@@ -207,10 +176,9 @@ struct NestReport
 struct ScheduleReport
 {
     std::vector<NestReport> nests;
-    uint64_t canonicalHash = 0; //!< the exact cache key (unchanged)
-    uint64_t familyHash = 0;    //!< the analysis-only family key
+    uint64_t canonicalHash = 0; //!< the exact cache key
 
-    /** Render one line per nest plus the two hashes. */
+    /** Render the canonical hash, then one line per nest. */
     std::string str() const;
 };
 

@@ -219,11 +219,15 @@ FleetServer::handle(const NetRequest& req)
     NetResponse resp;
     resp.modelVersion = modelVersion_;
 
+    // parseProgram also runs the verifier: a program with Error-level
+    // diagnostics (undefined call, undeclared array, zero step) is
+    // malformed IR, not a prediction query. Warnings still pass.
     dfir::ParseResult parsed = dfir::parseProgram(req.program);
-    if (!parsed.ok) {
+    if (!parsed.ok || !parsed.diagnostics.ok()) {
         badRequestCount_.add(1);
         resp.status = Status::BadRequest;
-        resp.error = "parse error: " + parsed.error;
+        resp.error = parsed.ok ? parsed.diagnostics.str()
+                               : "parse error: " + parsed.error;
         handleMs_.record(msBetween(t0, Clock::now()));
         return resp;
     }

@@ -93,7 +93,7 @@ struct FleetStats
     uint64_t requests = 0;   //!< decoded requests handled
     uint64_t ok = 0;         //!< answered with Status::Ok
     uint64_t overloaded = 0; //!< shed or rejected by admission control
-    uint64_t badRequest = 0; //!< undecodable payload / unparsable program
+    uint64_t badRequest = 0; //!< undecodable, unparsable or unverifiable
     uint64_t errors = 0;     //!< server-side failures
     uint64_t persistHits = 0;    //!< persistent-cache answers
     uint64_t persistLookups = 0; //!< persistent-cache probes

@@ -55,28 +55,6 @@ PersistentResultCache::size() const
     return lru_.size();
 }
 
-bool
-PersistentResultCache::recordFamily(uint64_t familyId)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++familyProbes_;
-    bool seen = !families_.insert(familyId).second;
-    if (seen)
-        ++familyHits_;
-    return seen;
-}
-
-PersistentResultCache::FamilyStats
-PersistentResultCache::familyStats() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    FamilyStats s;
-    s.probes = familyProbes_;
-    s.hits = familyHits_;
-    s.distinct = families_.size();
-    return s;
-}
-
 PersistentResultCache::LoadStats
 PersistentResultCache::load(const std::string& path, uint64_t modelVersion)
 {

@@ -35,7 +35,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "model/numeric_head.h"
 #include "serve/result_cache.h"
@@ -83,28 +82,6 @@ class PersistentResultCache
     /** Atomically write the current entries to `path` (LRU order). */
     bool save(const std::string& path) const;
 
-    /**
-     * Record one probe of the schedule-family key
-     * (dfir::scheduleFamilyHash) alongside the exact-key traffic;
-     * returns true when the family was seen before (a family hit).
-     * Statistics only: families never key get()/put() — the family
-     * hash renames tensors and erases mapping knobs, so serving a
-     * cached prediction by family would return results for a different
-     * program — and they are not persisted by save()/load(). The
-     * exact-key wire format and lookup behavior are untouched.
-     */
-    bool recordFamily(uint64_t familyId);
-
-    /** Family-probe counters accumulated by recordFamily. */
-    struct FamilyStats
-    {
-        size_t probes = 0;   //!< recordFamily calls
-        size_t hits = 0;     //!< probes whose family was already seen
-        size_t distinct = 0; //!< distinct family ids observed
-    };
-
-    FamilyStats familyStats() const;
-
   private:
     using Entry = std::pair<serve::ResultKey, model::NumericPrediction>;
 
@@ -114,12 +91,6 @@ class PersistentResultCache
                        serve::ResultKeyHash>
         index_;
     size_t capacity_;
-
-    // Family-id telemetry (recordFamily): in-memory only, never
-    // consulted by get/put and never written by save().
-    std::unordered_set<uint64_t> families_;
-    size_t familyProbes_ = 0;
-    size_t familyHits_ = 0;
 };
 
 } // namespace net

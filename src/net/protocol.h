@@ -70,7 +70,8 @@ enum class Status : uint8_t
 {
     Ok = 0,
     Overloaded = 1, //!< admission control shed/rejected the request
-    BadRequest = 2, //!< undecodable payload or unparsable program
+    BadRequest = 2, //!< undecodable payload, unparsable program, or one
+                    //!< the verifier rejects
     Error = 3       //!< server-side failure (e.g. shutting down)
 };
 

@@ -1,11 +1,8 @@
 #include "synth/dataset.h"
 
 #include <cmath>
-#include <set>
 #include <sstream>
 
-#include "dfir/passes.h"
-#include "dfir/schedule.h"
 #include "dfir/verify.h"
 #include "synth/generators.h"
 #include "util/common.h"
@@ -135,22 +132,6 @@ synthesizeNoAugmentation(const SynthConfig& cfg)
             makeSample(std::move(g), false, SourceKind::Ast, false, rng));
     }
     return ds;
-}
-
-DatasetStats
-datasetStats(const Dataset& ds)
-{
-    DatasetStats stats;
-    stats.samples = ds.size();
-    std::set<uint64_t> canonical;
-    std::set<uint64_t> families;
-    for (const Sample& s : ds.samples) {
-        canonical.insert(dfir::canonicalHash(s.graph));
-        families.insert(dfir::scheduleFamilyHash(s.graph));
-    }
-    stats.distinctCanonical = canonical.size();
-    stats.distinctFamilies = families.size();
-    return stats;
 }
 
 } // namespace synth

@@ -81,10 +81,10 @@ EquivalentMutant equivalentMutant(const dfir::DataflowGraph& base,
  * accepts, one randomly chosen legal pair of band levels is swapped
  * (nests with no legal pair are left alone). Semantics are preserved
  * exactly and nothing is renamed, so the base's runtime data stays
- * valid — but the schedule changes, so canonicalHash (and profiled
- * cycles) move while dfir::scheduleFamilyHash stays fixed. This is the
- * family-statistics counterpart of equivalentMutant: its mutants miss
- * under exact canonical keys yet collide under the family key.
+ * valid — but the schedule changes, so canonicalHash and profiled
+ * cycles move. Where equivalentMutant yields rewrites that exact keys
+ * must collapse, this yields legal interchanges that exact keys must
+ * miss: each one is a new program with its own ground truth.
  */
 struct ScheduleMutant
 {

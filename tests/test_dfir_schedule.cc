@@ -2,10 +2,11 @@
  * @file
  * Schedule-aware dependence analysis tests: direction vectors and the
  * interchange-legality matrix on hand-built nests, reduction detection,
- * graceful non-affine/imperfect handling, schedule-family hash
- * invariance + idempotence, the accelerator GEMM family pin (one
- * familyHash, distinct canonicalHash per variant), and the regression
- * that mutateProgram never interchanges a dependence-carrying nest.
+ * graceful non-affine/imperfect handling, the pin that schedule and
+ * tensor-name variants keep distinct canonicalHash values, the shape of
+ * synth::scheduleMutant's interchanges (one legal transposition per
+ * changed nest), and the regression that mutateProgram never
+ * interchanges a dependence-carrying nest.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,8 @@
 #include "dfir/passes.h"
 #include "dfir/printer.h"
 #include "dfir/schedule.h"
-#include "synth/dataset.h"
 #include "synth/generators.h"
+#include "util/string_util.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -72,6 +73,32 @@ stencilGraph(bool swapped_order = false)
     g.ops = {op};
     g.calls = {{"shift"}};
     return g;
+}
+
+/** One band level rendered with everything an interchange moves. */
+std::string
+loopKey(const Loop& l)
+{
+    return l.var + "|" + printExpr(l.lower) + "|" + printExpr(l.upper) +
+           "|" + std::to_string(l.step) + "|" + std::to_string(l.unroll) +
+           "|" + std::to_string(l.parallel);
+}
+
+/** The maximal perfect band of a `for` (keys) and its body below. */
+std::vector<std::string>
+bandKeys(const StmtPtr& s, std::string* inner)
+{
+    std::vector<std::string> keys;
+    const Stmt* cur = s.get();
+    keys.push_back(loopKey(cur->loop));
+    while (cur->body.size() == 1 && cur->body[0]->kind == StmtKind::For) {
+        cur = cur->body[0].get();
+        keys.push_back(loopKey(cur->loop));
+    }
+    inner->clear();
+    for (const StmtPtr& b : cur->body)
+        *inner += printStmt(b);
+    return keys;
 }
 
 TEST(Schedule, GemmDirectionVectorAndLegality)
@@ -255,108 +282,37 @@ TEST(Schedule, ImperfectNestAnalyzedNotRejected)
     EXPECT_FALSE(nests[0].notes.empty());
 }
 
-TEST(Schedule, AcceleratorGemmVariantsShareOneFamily)
+TEST(Schedule, AcceleratorGemmVariantsKeepDistinctCanonicalHashes)
 {
-    // The acceptance pin: all accelerator GEMM loop-order variants
-    // (different schedules AND different unroll/parallel pragmas)
-    // collapse to one scheduleFamilyHash while their canonicalHash
-    // values stay distinct — the exact cache key must keep treating
-    // them as different programs, because their cycles differ.
+    // The accelerator GEMM variants differ in loop order and pragmas, so
+    // their cycles differ: the exact key must keep them all apart.
     auto accel = workloads::accelerators();
     ASSERT_GE(accel.size(), 3u);
     std::set<uint64_t> canonical;
-    std::set<uint64_t> family;
-    for (const auto& w : accel) {
-        SCOPED_TRACE(w.name);
+    for (const auto& w : accel)
         canonical.insert(canonicalHash(w.graph));
-        family.insert(scheduleFamilyHash(w.graph));
-    }
     EXPECT_EQ(canonical.size(), accel.size());
-    EXPECT_EQ(family.size(), 1u);
 }
 
-TEST(Schedule, AllSixGemmOrdersShareOneFamily)
+TEST(Schedule, AllSixGemmOrdersHaveEveryPairLegal)
 {
-    std::set<uint64_t> family;
     for (const auto& order :
          {std::vector<std::string>{"i", "j", "k"}, {"i", "k", "j"},
           {"j", "i", "k"}, {"j", "k", "i"}, {"k", "i", "j"},
-          {"k", "j", "i"}})
-        family.insert(scheduleFamilyHash(gemmGraph(order)));
-    EXPECT_EQ(family.size(), 1u);
-}
-
-TEST(Schedule, BlockedInterchangeDoesNotUnify)
-{
-    // The stencil's two loop orders are different programs (the
-    // interchange is dependence-blocked), so they must NOT collide.
-    EXPECT_NE(scheduleFamilyHash(stencilGraph(false)),
-              scheduleFamilyHash(stencilGraph(true)));
-}
-
-TEST(Schedule, FamilyHashIdempotentAndRenameInvariantOnCorpus)
-{
-    std::vector<workloads::Workload> corpus;
-    for (auto& w : workloads::polybench())
-        corpus.push_back(std::move(w));
-    for (auto& w : workloads::modern())
-        corpus.push_back(std::move(w));
-    for (auto& w : workloads::accelerators())
-        corpus.push_back(std::move(w));
-
-    util::Rng rng(20260809);
-    for (const auto& w : corpus) {
-        SCOPED_TRACE(w.name);
-        DataflowGraph rep = scheduleCanonicalize(w.graph);
-        // Idempotence: the representative is its own representative.
-        EXPECT_EQ(structuralHash(scheduleCanonicalize(rep)),
-                  structuralHash(rep))
-            << printStatic(rep);
-        // Invariance under semantics-preserving rewrites (renames,
-        // commuted operands, dead code).
-        synth::EquivalentMutant mut = synth::equivalentMutant(w.graph, rng);
-        EXPECT_EQ(scheduleFamilyHash(mut.graph),
-                  scheduleFamilyHash(w.graph));
-        // Invariance under mapping-knob augmentation.
-        DataflowGraph hw = w.graph;
-        synth::augmentHardware(hw, rng, {10, 5, 2});
-        EXPECT_EQ(scheduleFamilyHash(hw), scheduleFamilyHash(w.graph));
+          {"k", "j", "i"}}) {
+        SCOPED_TRACE(order[0] + order[1] + order[2]);
+        auto nests = analyzeOperator(gemmGraph(order).ops[0]);
+        ASSERT_EQ(nests.size(), 1u);
+        EXPECT_TRUE(interchangeLegal(nests[0], 0, 1));
+        EXPECT_TRUE(interchangeLegal(nests[0], 0, 2));
+        EXPECT_TRUE(interchangeLegal(nests[0], 1, 2));
     }
 }
 
-TEST(Schedule, FamilyHashInvariantUnderLegalInterchangeMutants)
+TEST(Schedule, TensorRenameKeepsDistinctCanonicalHash)
 {
-    std::vector<workloads::Workload> corpus;
-    for (auto& w : workloads::polybench())
-        corpus.push_back(std::move(w));
-    for (auto& w : workloads::accelerators())
-        corpus.push_back(std::move(w));
-
-    util::Rng rng(7);
-    size_t changed = 0;
-    for (const auto& w : corpus) {
-        SCOPED_TRACE(w.name);
-        for (int m = 0; m < 4; ++m) {
-            synth::ScheduleMutant mut = synth::scheduleMutant(w.graph, rng);
-            if (!mut.changed)
-                continue;
-            ++changed;
-            // The interchange moved the schedule (new exact key) but
-            // not the family.
-            EXPECT_EQ(scheduleFamilyHash(mut.graph),
-                      scheduleFamilyHash(w.graph));
-            EXPECT_NE(canonicalHash(mut.graph), canonicalHash(w.graph));
-        }
-    }
-    // The generator must actually produce interchanges somewhere.
-    EXPECT_GT(changed, 0u);
-}
-
-TEST(Schedule, TensorRenameUnifiesUnderFamilyHash)
-{
-    // Same kernel, tensors renamed: distinct canonicalHash (tensor
-    // names key the simulator's pseudo-data, so the exact pipeline
-    // must keep them apart) but one family.
+    // Same kernel, tensors renamed: tensor names key the simulator's
+    // pseudo-data, so the exact pipeline must keep the two apart.
     DataflowGraph base = gemmGraph({"i", "j", "k"});
     DataflowGraph renamed = base;
     Operator& op = renamed.ops[0];
@@ -373,7 +329,94 @@ TEST(Schedule, TensorRenameUnifiesUnderFamilyHash)
     op.body = {nest};
 
     EXPECT_NE(canonicalHash(renamed), canonicalHash(base));
-    EXPECT_EQ(scheduleFamilyHash(renamed), scheduleFamilyHash(base));
+}
+
+TEST(Schedule, ScheduleMutantAppliesOneLegalTranspositionPerNest)
+{
+    std::vector<workloads::Workload> corpus;
+    for (auto& w : workloads::polybench())
+        corpus.push_back(std::move(w));
+    for (auto& w : workloads::accelerators())
+        corpus.push_back(std::move(w));
+    // A nest with an illegal pair, so an illegal swap would show.
+    workloads::Workload stencil;
+    stencil.name = "stencil";
+    stencil.graph = stencilGraph();
+    corpus.push_back(std::move(stencil));
+
+    size_t changed = 0;
+    for (uint64_t seed : {1u, 7u, 42u}) {
+        util::Rng rng(seed);
+        for (const auto& w : corpus) {
+            SCOPED_TRACE(w.name + " seed " + std::to_string(seed));
+            synth::ScheduleMutant mut = synth::scheduleMutant(w.graph, rng);
+            ASSERT_EQ(mut.graph.ops.size(), w.graph.ops.size());
+            int swappedNests = 0;
+            for (size_t o = 0; o < w.graph.ops.size(); ++o) {
+                const Operator& base = w.graph.ops[o];
+                const Operator& mop = mut.graph.ops[o];
+                ASSERT_EQ(mop.body.size(), base.body.size());
+                std::vector<NestInfo> nests = analyzeOperator(base);
+                size_t nestIdx = 0;
+                for (size_t k = 0; k < base.body.size(); ++k) {
+                    if (!base.body[k] || base.body[k]->kind != StmtKind::For) {
+                        EXPECT_EQ(printStmt(mop.body[k]),
+                                  printStmt(base.body[k]));
+                        continue;
+                    }
+                    const NestInfo& nest = nests[nestIdx++];
+                    std::string baseInner, mutInner;
+                    auto bk = bandKeys(base.body[k], &baseInner);
+                    auto mk = bandKeys(mop.body[k], &mutInner);
+                    ASSERT_EQ(mk.size(), bk.size());
+                    EXPECT_EQ(mutInner, baseInner);
+                    std::vector<int> diff;
+                    for (size_t l = 0; l < bk.size(); ++l)
+                        if (mk[l] != bk[l])
+                            diff.push_back(static_cast<int>(l));
+                    if (diff.empty())
+                        continue;
+                    // Exactly one transposition (i, j), and a legal one.
+                    ASSERT_EQ(diff.size(), 2u);
+                    int i = diff[0], j = diff[1];
+                    EXPECT_EQ(mk[size_t(i)], bk[size_t(j)]);
+                    EXPECT_EQ(mk[size_t(j)], bk[size_t(i)]);
+                    EXPECT_TRUE(interchangeLegal(nest, i, j))
+                        << i << "," << j;
+                    ++swappedNests;
+                }
+            }
+            EXPECT_EQ(swappedNests, mut.interchanges);
+            EXPECT_EQ(mut.changed, mut.interchanges > 0);
+            if (!mut.changed)
+                continue;
+            ++changed;
+            // The schedule moved, so the exact key must move too.
+            EXPECT_NE(canonicalHash(mut.graph), canonicalHash(w.graph));
+        }
+    }
+    EXPECT_GT(changed, 0u);
+}
+
+TEST(Schedule, ScheduleMutantNeverInterchangesBlockedNest)
+{
+    // Positive control: some corpus workload gets interchanged.
+    size_t changedWorkloads = 0;
+    util::Rng corpusRng(3);
+    for (const auto& w : workloads::polybench())
+        if (synth::scheduleMutant(w.graph, corpusRng).changed)
+            ++changedWorkloads;
+    EXPECT_GT(changedWorkloads, 0u);
+
+    // The stencil's only interchange is dependence-blocked.
+    DataflowGraph g = stencilGraph();
+    const std::string text = printStatic(g);
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        util::Rng rng(seed);
+        synth::ScheduleMutant mut = synth::scheduleMutant(g, rng);
+        EXPECT_FALSE(mut.changed) << "seed " << seed;
+        EXPECT_EQ(printStatic(mut.graph), text) << "seed " << seed;
+    }
 }
 
 TEST(Schedule, MutateProgramNeverInterchangesDependenceCarryingNest)
@@ -436,29 +479,13 @@ TEST(Schedule, ScheduleReportSummarizesNests)
     ASSERT_EQ(rep.nests[0].reductionTargets.size(), 1u);
     EXPECT_EQ(rep.nests[0].reductionTargets[0], "C");
     EXPECT_EQ(rep.canonicalHash, canonicalHash(g));
-    EXPECT_EQ(rep.familyHash, scheduleFamilyHash(g));
-    // The rendered report carries both hashes and the nest line.
+    // The rendered report carries the canonical hash and the nest line.
     std::string s = rep.str();
-    EXPECT_NE(s.find("familyHash"), std::string::npos);
+    EXPECT_NE(s.find(util::format("canonicalHash=%016llx",
+                                  static_cast<unsigned long long>(
+                                      canonicalHash(g)))),
+              std::string::npos);
     EXPECT_NE(s.find("depth=3"), std::string::npos);
-}
-
-TEST(Schedule, DatasetStatsCountFamilies)
-{
-    // A dataset of one base plus interchange + rename mutants: one
-    // family, several canonical keys.
-    synth::Dataset ds;
-    for (const auto& order :
-         {std::vector<std::string>{"i", "j", "k"}, {"k", "j", "i"},
-          {"j", "i", "k"}}) {
-        synth::Sample s;
-        s.graph = gemmGraph(order);
-        ds.samples.push_back(std::move(s));
-    }
-    synth::DatasetStats stats = synth::datasetStats(ds);
-    EXPECT_EQ(stats.samples, 3u);
-    EXPECT_EQ(stats.distinctCanonical, 3u);
-    EXPECT_EQ(stats.distinctFamilies, 1u);
 }
 
 } // namespace

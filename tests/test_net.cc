@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "dfir/builder.h"
+#include "dfir/parser.h"
 #include "dfir/passes.h"
 #include "dfir/printer.h"
 #include "net/fleet_client.h"
@@ -293,43 +294,6 @@ TEST(PersistentCache, SaveLoadRoundTripIsBitExact)
     std::remove(path.c_str());
 }
 
-TEST(PersistentCache, FamilyStatsNeverTouchExactEntriesOrTheSnapshot)
-{
-    // recordFamily is statistics-only by contract: interleaving family
-    // probes must not change get/put results, and save() must not
-    // persist family state — a warm-loaded cache starts its family
-    // counters from zero.
-    std::string path = tempPath("family");
-    net::PersistentResultCache cache(8);
-    model::NumericPrediction pred = somePrediction(321);
-    cache.put(someKey(1), pred);
-
-    EXPECT_FALSE(cache.recordFamily(0xfeed)); // first sighting: miss
-    EXPECT_TRUE(cache.recordFamily(0xfeed));  // repeat: hit
-    EXPECT_FALSE(cache.recordFamily(0xbeef));
-    auto fs = cache.familyStats();
-    EXPECT_EQ(fs.probes, 3u);
-    EXPECT_EQ(fs.hits, 1u);
-    EXPECT_EQ(fs.distinct, 2u);
-
-    // Exact-key behavior is unchanged by the probes above.
-    model::NumericPrediction out;
-    ASSERT_TRUE(cache.get(someKey(1), out));
-    expectBitEqual(out, pred);
-    EXPECT_FALSE(cache.get(someKey(0xfeed), out)); // families aren't keys
-    EXPECT_EQ(cache.size(), 1u);
-
-    ASSERT_TRUE(cache.save(path));
-    net::PersistentResultCache warm(8);
-    auto ls = warm.load(path, /*modelVersion=*/0);
-    EXPECT_TRUE(ls.clean);
-    EXPECT_EQ(ls.loaded, 1u);
-    auto warmFs = warm.familyStats();
-    EXPECT_EQ(warmFs.probes, 0u);
-    EXPECT_EQ(warmFs.distinct, 0u);
-    std::remove(path.c_str());
-}
-
 TEST(PersistentCache, MissingFileIsACleanColdStart)
 {
     net::PersistentResultCache cache(4);
@@ -520,6 +484,73 @@ TEST(FleetServer, UnparsableProgramAnswersBadRequestAndKeepsConnection)
                                serve::Priority::Normal, resp));
     EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
     EXPECT_EQ(fleet.stats().badRequest, 1u);
+}
+
+TEST(FleetServer, VerifierRejectedProgramsAnswerBadRequest)
+{
+    // Each program parses but carries an Error-level verifier
+    // diagnostic. None may reach a shard: malformed IR is not a
+    // prediction query.
+    const char* programs[] = {
+        // dataflow() calls an undefined operator.
+        "void f(float A[4]) { A[0] = 1; }\n"
+        "void dataflow() { f(); ghost(); }\n",
+        // Write to an undeclared array.
+        "void f(float A[4]) { B[0] = 1; }\n"
+        "void dataflow() { f(); }\n",
+        // Loop step 0.
+        "void f(float A[4]) {\n"
+        "  for (int i = 0; i < 4; i += 0) {\n"
+        "    A[i] = 1;\n"
+        "  }\n"
+        "}\n"
+        "void dataflow() { f(); }\n",
+    };
+
+    net::FleetConfig cfg;
+    cfg.shards = 1;
+    net::FleetServer fleet(tinyModel(), cfg);
+    fleet.start();
+    net::FleetClient client;
+    ASSERT_TRUE(client.connectLoopback(fleet.port()));
+
+    for (const char* text : programs) {
+        SCOPED_TRACE(text);
+        dfir::ParseResult parsed = dfir::parseProgram(text);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        ASSERT_FALSE(parsed.diagnostics.ok());
+
+        net::NetRequest req;
+        req.program = text;
+        req.metric = model::Metric::Power;
+        net::NetResponse resp;
+        ASSERT_TRUE(client.call(req, resp));
+        EXPECT_EQ(resp.status, net::Status::BadRequest);
+        EXPECT_EQ(resp.error, parsed.diagnostics.str());
+    }
+    net::FleetStats stats = fleet.stats();
+    EXPECT_EQ(stats.badRequest, 3u);
+    EXPECT_EQ(stats.shardModelCalls, 0u);
+
+    // The connection survives, and warnings alone do not reject: an
+    // indirect (non-affine) subscript is a warning, so this is served.
+    const char* warned = "void f(float A[4], float B[4]) {\n"
+                         "  for (int i = 0; i < 4; i += 1) {\n"
+                         "    A[B[i]] = 1;\n"
+                         "  }\n"
+                         "}\n"
+                         "void dataflow() { f(); }\n";
+    dfir::ParseResult parsed = dfir::parseProgram(warned);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    ASSERT_TRUE(parsed.diagnostics.ok());
+    ASSERT_GT(parsed.diagnostics.warningCount(), 0u);
+    net::NetRequest req;
+    req.program = warned;
+    req.metric = model::Metric::Power;
+    net::NetResponse resp;
+    ASSERT_TRUE(client.call(req, resp));
+    EXPECT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_EQ(fleet.stats().badRequest, 3u);
 }
 
 TEST(FleetServer, ClosedConnectionThreadsAreReaped)
