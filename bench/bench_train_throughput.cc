@@ -17,11 +17,8 @@
  *   train_throughput,speedup_t4,<v>
  *   train_throughput,speedup_t8,<v>
  *   train_throughput,loss_bitmatch,<1|0>
- *   train_throughput,intra_samples_per_sec_b<B>,<v>   (intra-batch mode)
- *   train_throughput,intra_speedup_b<B>,<v vs 1-thread per-sample at the
- *                                        same batch size>
  *   train_throughput,nn.*,<GEMM call/FLOP counters and trainer gauges
- *     from one short instrumented epoch, run AFTER the timed sweeps so
+ *     from one short instrumented epoch, run AFTER the timed sweep so
  *     the rows above stay free of telemetry overhead>
  *
  * Speedups depend on the machine: on a single-core container all thread
@@ -131,29 +128,7 @@ main(int argc, char** argv)
         return 1;
     }
 
-    // Intra-batch sweep: the batch-first forward (one lossBatch graph
-    // per minibatch) at batch sizes 1/4/8, single-threaded. Each run is
-    // compared against a 1-thread per-sample run at the SAME batch size
-    // — identical optimizer step counts, so the speedup isolates the
-    // batched forward math rather than step-frequency overhead.
-    for (int b : {1, 4, 8}) {
-        harness::TrainConfig pcfg = tcfg;
-        pcfg.batchSize = b;
-        RunResult base = runAt(1, mcfg, ds, encs, pcfg);
-        harness::TrainConfig icfg = pcfg;
-        icfg.intraBatch = true;
-        RunResult r = runAt(1, mcfg, ds, encs, icfg);
-        bench::csv("train_throughput",
-                   util::format("intra_samples_per_sec_b%d", b).c_str(),
-                   r.samplesPerSec);
-        bench::csv("train_throughput",
-                   util::format("intra_speedup_b%d", b).c_str(),
-                   base.samplesPerSec <= 0
-                       ? 0
-                       : r.samplesPerSec / base.samplesPerSec);
-    }
-
-    // Instrumented pass, AFTER every timed sweep so the throughput rows
+    // Instrumented pass, AFTER the timed sweep so the throughput rows
     // above never carry telemetry cost: one short single-threaded epoch
     // with the global metrics gate on, dumping GEMM call/FLOP counters
     // (per kernel per backend) and the trainer step/loss gauges.

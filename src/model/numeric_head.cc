@@ -120,6 +120,7 @@ DigitHead::decodeBatch(const nn::TensorPtr& pooled, int beam_width) const
 {
     LLM_CHECK(pooled->cols == encoderDim_,
               "decodeBatch pooled width " << pooled->cols);
+    LLM_CHECK(beam_width >= 1, "decodeBatch beam width " << beam_width);
     const int R = pooled->rows;
 
     struct Beam

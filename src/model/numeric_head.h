@@ -92,6 +92,7 @@ class DigitHead : public nn::Module
      * every digit position the live beams of ALL rows share one MLP
      * forward. Result r is bit-identical to decode(row r) — beams of
      * different rows never interact, and the stacked MLP is row-wise.
+     * beam_width must be >= 1.
      */
     std::vector<NumericPrediction>
     decodeBatch(const nn::TensorPtr& pooled, int beam_width = 3) const;

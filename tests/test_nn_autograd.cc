@@ -201,17 +201,6 @@ TEST(Autograd, MseGradient)
     checkGrads({pred}, [&] { return nn::mseLoss(pred, target); });
 }
 
-TEST(Autograd, MulRowMaskGradient)
-{
-    util::Rng rng(15);
-    auto x = randTensor(4, 3, rng);
-    std::vector<float> mask = {1.f, 0.f, 1.f, 0.5f};
-    checkGrads({x}, [&] {
-        auto y = nn::mulRowMask(x, mask);
-        return nn::sumAll(nn::mulElem(y, y));
-    });
-}
-
 TEST(Autograd, GradAccumulatesAcrossReuse)
 {
     // x used twice in the graph must receive the sum of both paths.

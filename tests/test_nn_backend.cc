@@ -33,7 +33,6 @@
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
 #include "nn/backend.h"
-#include "nn/batch.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -220,8 +219,9 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
 }
 
 /**
- * Build a 2-layer encoder + pooled regression graph over a ragged
- * 3-sequence batch, run forward and backward, and return the loss bits
+ * Build a 2-layer encoder + pooled regression graph summed over three
+ * sequential forwards (one masked), run forward and backward, and
+ * return the loss bits
  * plus every parameter gradient. Everything (init, data) is seeded, so
  * the only degree of freedom between calls is the active backend.
  */
@@ -252,16 +252,26 @@ runEncoderGraph(const nn::Backend& be)
         {8, 9, 10},
         {11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
     };
-    auto pb = nn::PaddedBatch::pack(seqs, {nullptr, nullptr, nullptr},
-                                    cfg.maxSeq);
-    TensorPtr hidden = enc.forwardBatch(pb);
-    TensorPtr pooledB = nn::TransformerEncoder::pooledBatch(hidden, pb);
+    // The last sequence carries an additive mask, so -1e9 scores (and
+    // their exactly-zero softmax weights) stay on the compared path.
+    const int n = static_cast<int>(seqs[2].size());
+    auto mask = nn::Tensor::zeros(n, n);
+    for (int i = 0; i < n; i += 3)
+        for (int j = n / 2; j < n; ++j)
+            mask->at(i, j) = -1e9f;
+    std::vector<TensorPtr> masks = {nullptr, nullptr, mask};
+    const std::vector<float> targets = {0.5f, -1.0f, 2.0f};
     // One scalar head on top so softmax/gelu/layernorm/GEMM all sit on
     // the gradient path.
     auto head = nn::Tensor::fromData(
         cfg.dim, 1, randVec(cfg.dim, rng, 0.3), true);
-    TensorPtr pred = nn::matmul(pooledB, head);
-    TensorPtr loss = nn::mseLoss(pred, {0.5f, -1.0f, 2.0f});
+    TensorPtr loss;
+    for (size_t i = 0; i < seqs.size(); ++i) {
+        TensorPtr pooled =
+            nn::TransformerEncoder::pooled(enc.forward(seqs[i], masks[i]));
+        TensorPtr l = nn::mseLoss(nn::matmul(pooled, head), {targets[i]});
+        loss = loss ? nn::add(loss, l) : l;
+    }
 
     auto params = enc.parameters();
     params.push_back(head);

@@ -126,6 +126,17 @@ TEST(DigitHead, BeamSearchNotWorseThanGreedy)
     EXPECT_GE(beam.logProb, greedy.logProb - 1e-6);
 }
 
+TEST(DigitHead, DecodeRejectsNonPositiveBeamWidth)
+{
+    util::Rng rng(6);
+    NumericHeadConfig cfg;
+    cfg.width = 4;
+    DigitHead head(8, cfg, rng);
+    auto pooled = nn::Tensor::zeros(2, 8);
+    EXPECT_DEATH(head.decodeBatch(pooled, 0), "beam width 0");
+    EXPECT_DEATH(head.decodeBatch(pooled, -1), "beam width -1");
+}
+
 TEST(DigitHead, BinaryBaseNeedsMoreSteps)
 {
     // Spatial/temporal trade-off: same value, base 2 yields longer digit

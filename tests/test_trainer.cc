@@ -65,8 +65,7 @@ struct TinyRig
                  [net, &p](size_t i) {
                      auto x = nn::Tensor::fromData(1, 2, p.xs[i]);
                      return nn::mseLoss(net->forward(x), {p.ys[i]});
-                 },
-                 nullptr});
+                 }});
         }
     }
 
@@ -231,46 +230,6 @@ TEST(Trainer, CostModelBitIdentical1v8)
         for (size_t j = 0; j < p1[i]->value.size(); ++j)
             ASSERT_EQ(p1[i]->value[j], p8[i]->value[j])
                 << "param " << i << "[" << j << "]";
-}
-
-TEST(Trainer, IntraBatchModeIsDeterministicAndLearns)
-{
-    // Intra-batch mode (one batch-first lossBatch graph per minibatch)
-    // is a distinct, deterministic math mode: two runs must agree
-    // bitwise, the loss must actually fall, and the requested thread
-    // count must be irrelevant (it runs on the caller's thread).
-    synth::SynthConfig scfg;
-    scfg.numPrograms = 6;
-    scfg.seed = 17;
-    auto ds = synth::synthesize(scfg);
-
-    auto mcfg = model::configForScale(model::ModelScale::Tiny);
-    mcfg.enc.maxSeq = 128;
-
-    harness::TrainConfig tcfg;
-    tcfg.epochs = 3;
-    tcfg.batchSize = 4;
-    tcfg.intraBatch = true;
-
-    model::CostModel ma(mcfg), mb(mcfg);
-    harness::TrainConfig ca = tcfg, cb = tcfg;
-    ca.trainThreads = 1;
-    cb.trainThreads = 8; // must be ignored by intra-batch mode
-    auto sa = harness::trainCostModelUncached(ma, ds, ca);
-    auto sb = harness::trainCostModelUncached(mb, ds, cb);
-    EXPECT_EQ(sa.threads, 1);
-    EXPECT_EQ(sb.threads, 1);
-    EXPECT_EQ(sa.steps, sb.steps);
-
-    ASSERT_EQ(sa.epochLoss.size(), sb.epochLoss.size());
-    for (size_t e = 0; e < sa.epochLoss.size(); ++e)
-        EXPECT_EQ(sa.epochLoss[e], sb.epochLoss[e]) << "epoch " << e;
-    auto pa = ma.parameters(), pb = mb.parameters();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (size_t i = 0; i < pa.size(); ++i)
-        ASSERT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
-
-    EXPECT_LT(sa.epochLoss.back(), sa.epochLoss.front());
 }
 
 TEST(Trainer, PairEncodingMatchesSeparateEncodes)
