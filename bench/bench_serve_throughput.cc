@@ -17,8 +17,8 @@
  *   serve_throughput,cached_rps,<req/s, cache enabled, repeat mix>
  *   serve_throughput,cache_hit_rate,<fraction in [0,1]>
  *   serve_throughput,queue_wait_p99_ms_w<N>,<queue-wait p99, N workers>
- *   serve_throughput,stage_share_<stage>,<stage share of per-batch
- *     stage time, 4-worker run: assembly|forward|decode|cache_fill>
+ *   serve_throughput,stage_share_<stage>,<share of the summed stage
+ *     means, 4-worker run: assembly|forward|decode|cache_fill>
  *   serve_throughput,serve.*,<stage-histogram registry rows from one
  *     instrumented pass>
  *   serve_throughput,nn.*,<GEMM call/FLOP counters from the same pass>
@@ -29,10 +29,14 @@
  *
  * Multi-worker speedup tracks the machine's core count: on a 1-core
  * host the w4/w8 rows land near 1.0, on CI-class 4-vCPU hosts they
- * exceed the 1-worker baseline. The batch sweep (batchMax 1/4/8 at a
- * fixed worker count) isolates the batch-first forward instead: larger
- * micro-batches mean fewer, bigger forwardPooledBatch calls per worker,
- * so its speedup is visible even on one core.
+ * exceed the 1-worker baseline. The batchMax sweep (1/4/8 at a fixed
+ * worker count) measures request grouping: a worker runs one encoder
+ * forward per distinct (program, input) in its micro-batch, so a larger
+ * cap only saves work when a batch holds repeats of one program and
+ * input (e.g. the same program asked for several metrics). Each
+ * speedup_b* row comes from ONE timing per cap (three --quick runs on
+ * one 4-core VM read speedup_b4 0.91-1.12 and speedup_b8 1.03-1.28),
+ * so it is a trajectory, not a gate.
  */
 
 #include <chrono>
@@ -190,8 +194,9 @@ main(int argc, char** argv)
                        util::format("speedup_w%d", workers).c_str(),
                        speedup);
         if (workers == 4) {
-            // Per-stage share of the summed per-batch stage means, so
-            // the trajectory shows where batch wall time goes.
+            // Per-stage share of the summed stage means (assembly and
+            // forward per batch, decode and cache fill per key), so the
+            // trajectory shows where worker time goes.
             double tot = r.stats.meanAssemblyMs + r.stats.meanForwardMs +
                          r.stats.meanDecodeMs + r.stats.meanCacheFillMs;
             if (tot > 0) {
@@ -209,10 +214,10 @@ main(int argc, char** argv)
     std::printf("== worker scaling (cache disabled) ==\n");
     table.print();
 
-    // Phase 1.5 — micro-batch scaling at a fixed worker count: each
-    // pop of up to batchMax requests becomes ONE batched encoder
-    // forward + per-metric batched decode, so this sweep measures the
-    // batch-first forward path itself.
+    // Phase 1.5 — request grouping at a fixed worker count: a pop of
+    // up to batchMax requests runs one encoder forward per distinct
+    // (program, input) and one decode per distinct key, so this sweep
+    // measures how much work grouping shares. One timing per cap.
     eval::Table btable({"batchMax", "req/s", "p95 (ms)", "speedup"});
     double batchBaselineRps = 0;
     for (int batchMax : {1, 4, 8}) {

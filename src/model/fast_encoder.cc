@@ -111,52 +111,34 @@ InferenceSession::computeLayout(const EncodedProgram& ep) const
 }
 
 std::vector<float>
-InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
-                          const std::vector<Layout>& lays, bool partial,
-                          bool prime)
+InferenceSession::forward(const EncodedProgram& ep, const Layout& lay,
+                          bool partial, bool prime)
 {
     const nn::TransformerEncoder& enc = model_.encoder();
     const nn::Backend& be = nn::backend();
-    const int B = static_cast<int>(eps.size());
+    const int n = lay.n;
     const int d = enc.cfg.dim;
     const int heads = enc.cfg.heads;
     const int hd = d / heads;
     const int ffn = enc.cfg.ffn;
     const int layers = static_cast<int>(enc.blocks.size());
-    LLM_CHECK(B == 1 || !(partial || prime),
-              "the prefix cache holds a single sequence");
-
-    // Ragged stacking: sequence b owns rows [off[b], off[b+1]) of every
-    // stacked buffer. No padding; attention never crosses a boundary.
-    std::vector<int> off(B + 1, 0);
-    int maxN = 0;
-    for (int b = 0; b < B; ++b) {
-        off[b + 1] = off[b] + lays[b].n;
-        maxN = std::max(maxN, lays[b].n);
-    }
-    const int total = off[B];
-    auto seqOf = [&off](int r) {
-        return static_cast<int>(
-                   std::upper_bound(off.begin(), off.end(), r) -
-                   off.begin()) - 1;
-    };
 
     // A row is computed unless partial mode serves it from the cache;
     // the stages run over maximal runs of computed rows.
-    std::vector<uint8_t> reuse(total, 0);
+    std::vector<uint8_t> reuse(n, 0);
     if (partial) {
-        for (int r = 0; r < total && r < cacheLen_; ++r)
-            reuse[r] = lays[0].reusable[r] && cacheReusable_[r];
+        for (int r = 0; r < n && r < cacheLen_; ++r)
+            reuse[r] = lay.reusable[r] && cacheReusable_[r];
     }
     auto pullReused = [&](const std::vector<float>& cached,
                           std::vector<float>& dst) {
-        for (int r = 0; r < total; ++r)
+        for (int r = 0; r < n; ++r)
             if (reuse[r])
                 std::copy_n(cached.begin() + size_t(r) * d, d,
                             dst.begin() + size_t(r) * d);
     };
     std::vector<std::pair<int, int>> runs;
-    for (int r = 0; r < total; ++r) {
+    for (int r = 0; r < n; ++r) {
         if (reuse[r])
             continue;
         if (!runs.empty() && runs.back().second == r)
@@ -166,37 +148,33 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
     }
 
     // ---- Embedding + positions ----
-    std::vector<float> h(size_t(total) * d);
+    std::vector<float> h(size_t(n) * d);
     const float* table = enc.tok->table->value.data();
     const float* pos = enc.pos->value.data();
-    for (int b = 0; b < B; ++b) {
-        for (int i = 0; i < lays[b].n; ++i) {
-            const int r = off[b] + i;
-            if (reuse[r]) {
-                ++stats_.rowsReused;
-                continue;
-            }
-            const float* te = table + size_t(eps[b]->tokens[i]) * d;
-            const float* pe = pos + size_t(i % enc.cfg.maxSeq) * d;
-            float* row = h.data() + size_t(r) * d;
-            for (int j = 0; j < d; ++j)
-                row[j] = te[j] + pe[j];
-            ++stats_.rowsComputed;
+    for (int i = 0; i < n; ++i) {
+        if (reuse[i]) {
+            ++stats_.rowsReused;
+            continue;
         }
+        const float* te = table + size_t(ep.tokens[i]) * d;
+        const float* pe = pos + size_t(i % enc.cfg.maxSeq) * d;
+        float* row = h.data() + size_t(i) * d;
+        for (int j = 0; j < d; ++j)
+            row[j] = te[j] + pe[j];
+        ++stats_.rowsComputed;
     }
 
-    // Full-size q/k/v (attention reads every row of a sequence) plus
-    // tile scratch: LN/projection outputs, the discarded LN xhat/invstd,
-    // and FFN hidden rows.
-    std::vector<float> q(size_t(total) * d), k(size_t(total) * d),
-        v(size_t(total) * d);
+    // Full-size q/k/v (attention reads every row) plus tile scratch:
+    // LN/projection outputs, the discarded LN xhat/invstd, and FFN
+    // hidden rows.
+    std::vector<float> q(size_t(n) * d), k(size_t(n) * d), v(size_t(n) * d);
     std::vector<float> a(size_t(kTileRows) * d), xhat(size_t(kTileRows) * d),
         invstd(kTileRows), mid(size_t(kTileRows) * ffn);
-    // Attention scratch: one sequence's head panels K_h [n, hd] and
-    // V_h^T [hd, n], and one query tile's Q_h^T [hd, m], S^T [n, m]
-    // (scores, then weights) and context^T [hd, m].
-    std::vector<float> kh(size_t(maxN) * hd), vt(size_t(hd) * maxN),
-        qt(size_t(hd) * kTileRows), st(size_t(maxN) * kTileRows),
+    // Attention scratch: the head panels K_h [n, hd] and V_h^T [hd, n],
+    // and one query tile's Q_h^T [hd, m], S^T [n, m] (scores, then
+    // weights) and context^T [hd, m].
+    std::vector<float> kh(size_t(n) * hd), vt(size_t(hd) * n),
+        qt(size_t(hd) * kTileRows), st(size_t(n) * kTileRows),
         ct(size_t(hd) * kTileRows);
     auto layerNorm = [&](const nn::LayerNorm& ln, const float* x, float* y,
                          int m) {
@@ -205,19 +183,16 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
     };
     const float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
 
-    // One head's attention for query rows [r0, r0 + m) of sequence b,
-    // whose panels are in kh/vt. Both products are transposed so their
-    // output rows are m wide: S^T = K_h Q_h^T, then a softmax down each
-    // column, then ctx^T = V_h^T P^T. gemmAccum starts every element at
-    // +0 and adds the ascending-k terms, skipping zero multipliers, so
-    // each score and context element is the plain `s = 0; s += q * k`
-    // and `out = 0; out += w * v` chain (a skipped or zeroed term adds
-    // ±0 to an accumulator that is never -0). Each row's context then
+    // One head's attention for query rows [r0, r0 + m), whose panels are
+    // in kh/vt. Both products are transposed so their output rows are m
+    // wide: S^T = K_h Q_h^T, then a softmax down each column, then
+    // ctx^T = V_h^T P^T. gemmAccum starts every element at +0 and adds
+    // the ascending-k terms, skipping zero multipliers, so each score
+    // and context element is the plain `s = 0; s += q * k` and
+    // `out = 0; out += w * v` chain (a skipped or zeroed term adds ±0 to
+    // an accumulator that is never -0). Each row's context then
     // overwrites its own q slice, which no later head reads.
-    auto attendTile = [&](int b, int hh, int r0, int m) {
-        const Layout& lay = lays[b];
-        const int n = lay.n;
-        const int i0 = r0 - off[b];
+    auto attendTile = [&](int hh, int r0, int m) {
         for (int t = 0; t < m; ++t) {
             const float* qrow = q.data() + size_t(r0 + t) * d + hh * hd;
             for (int x = 0; x < hd; ++x)
@@ -233,8 +208,8 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
         for (int t = 0; t < m; ++t) {
             mx[t] = kMasked;
             sum[t] = 0.f;
-            qClassI[t] = lay.classIRow[i0 + t];
-            qData[t] = lay.dataRow[i0 + t];
+            qClassI[t] = lay.classIRow[r0 + t];
+            qData[t] = lay.dataRow[r0 + t];
         }
         for (int j = 0; j < n; ++j) {
             float* srow = st.data() + size_t(j) * m;
@@ -303,23 +278,18 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
         if (prime)
             cacheLayers_[l] = {k, v};
 
-        // Attention over every sequence's keys, in query tiles that stay
-        // inside one sequence and one computed run.
-        for (int b = 0; b < B; ++b) {
-            const int n = lays[b].n;
-            for (int hh = 0; hh < heads; ++hh) {
-                for (int j = 0; j < n; ++j) {
-                    const size_t src = size_t(off[b] + j) * d + hh * hd;
-                    std::copy_n(k.begin() + src, hd,
-                                kh.begin() + size_t(j) * hd);
-                    for (int x = 0; x < hd; ++x)
-                        vt[size_t(x) * n + j] = v[src + x];
-                }
-                for (const auto& run : runs)
-                    forTiles(std::max(run.first, off[b]),
-                             std::min(run.second, off[b + 1]),
-                             [&](int r0, int m) { attendTile(b, hh, r0, m); });
+        // Attention over every key, in query tiles inside one computed
+        // run.
+        for (int hh = 0; hh < heads; ++hh) {
+            for (int j = 0; j < n; ++j) {
+                const size_t src = size_t(j) * d + hh * hd;
+                std::copy_n(k.begin() + src, hd, kh.begin() + size_t(j) * hd);
+                for (int x = 0; x < hd; ++x)
+                    vt[size_t(x) * n + j] = v[src + x];
             }
+            for (const auto& run : runs)
+                forTiles(run.first, run.second,
+                         [&](int r0, int m) { attendTile(hh, r0, m); });
         }
 
         // Output projection, LN2 and FFN per tile, each with its residual.
@@ -348,30 +318,28 @@ InferenceSession::forward(const std::vector<const EncodedProgram*>& eps,
         pullReused(cacheOut_, h);
         ++stats_.cachedForwards;
     } else {
-        stats_.fullForwards += B;
+        ++stats_.fullForwards;
     }
     if (prime) {
         cacheOut_ = h;
         cacheValid_ = true;
-        cacheKey_ = lays[0].staticKey;
-        cacheLen_ = lays[0].n;
-        cacheReusable_ = lays[0].reusable;
+        cacheKey_ = lay.staticKey;
+        cacheLen_ = n;
+        cacheReusable_ = lay.reusable;
     }
 
-    // Final LN + per-sequence mean pool.
-    std::vector<float> pooled(size_t(B) * d, 0.f);
-    forTiles(0, total, [&](int r0, int m) {
+    // Final LN + mean pool.
+    std::vector<float> pooled(d, 0.f);
+    forTiles(0, n, [&](int r0, int m) {
         layerNorm(*enc.lnFinal, h.data() + size_t(r0) * d, a.data(), m);
         for (int t = 0; t < m; ++t) {
-            float* prow = pooled.data() + size_t(seqOf(r0 + t)) * d;
             const float* lrow = a.data() + size_t(t) * d;
             for (int j = 0; j < d; ++j)
-                prow[j] += lrow[j];
+                pooled[j] += lrow[j];
         }
     });
-    for (int b = 0; b < B; ++b)
-        for (int j = 0; j < d; ++j)
-            pooled[size_t(b) * d + j] /= lays[b].n;
+    for (int j = 0; j < d; ++j)
+        pooled[j] /= n;
     return pooled;
 }
 
@@ -380,24 +348,24 @@ InferenceSession::forwardPooledBatch(
     const std::vector<const EncodedProgram*>& eps)
 {
     LLM_CHECK(!eps.empty(), "forwardPooledBatch with no encodings");
-    std::vector<Layout> lays;
-    lays.reserve(eps.size());
-    for (const EncodedProgram* ep : eps)
-        lays.push_back(computeLayout(*ep));
-    return nn::Tensor::fromData(static_cast<int>(eps.size()),
-                                model_.encoder().cfg.dim,
-                                forward(eps, lays, false, false));
+    const int d = model_.encoder().cfg.dim;
+    auto out = nn::Tensor::zeros(static_cast<int>(eps.size()), d);
+    for (size_t b = 0; b < eps.size(); ++b)
+        std::copy_n(pooled(*eps[b], false)->value.begin(), d,
+                    out->value.begin() + b * d);
+    return out;
 }
 
 nn::TensorPtr
 InferenceSession::pooled(const EncodedProgram& ep, bool use_cache)
 {
-    std::vector<Layout> lays{computeLayout(ep)};
-    const Layout& lay = lays[0];
-    bool partial = use_cache && cacheValid_ && cacheKey_ == lay.staticKey &&
-                   cacheLen_ >= lay.staticLen;
+    const Layout lay = computeLayout(ep);
+    const bool partial = use_cache && cacheValid_ &&
+                         cacheKey_ == lay.staticKey &&
+                         cacheLen_ >= lay.staticLen;
     return nn::Tensor::fromData(1, model_.encoder().cfg.dim,
-                                forward({&ep}, lays, partial, !partial));
+                                forward(ep, lay, partial,
+                                        use_cache && !partial));
 }
 
 NumericPrediction

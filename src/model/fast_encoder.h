@@ -14,11 +14,10 @@
  * Section 5.2 decouples from data) and recomputes only the dynamic rows
  * (graph function, Class II operators, data).
  *
- * Single, cached and batched calls all run one transformer forward over
- * raggedly stacked rows. Its row-wise stages (LN, Q/K/V, output
- * projection, FFN) run in fixed-size row tiles through the active
- * nn::Backend kernels (nn::gemmAccum, layerNormRows, geluForward).
- * Attention runs per sequence and head in query tiles of one sequence:
+ * Every call runs one transformer forward over one encoding. Its
+ * row-wise stages (LN, Q/K/V, output projection, FFN) run in fixed-size
+ * row tiles through the active nn::Backend kernels (nn::gemmAccum,
+ * layerNormRows, geluForward). Attention runs per head in query tiles:
  * two nn::gemmAccum products per tile (transposed scores K_h Q_h^T and
  * context V_h^T P^T) around a column-wise masked softmax. Each score and
  * context element keeps the plain ascending-key sum of a per-row loop,
@@ -73,9 +72,8 @@ struct SessionStats
 /**
  * Cached, autograd-free inference over a trained CostModel. pooled(),
  * predict() and forwardPooledBatch() are thin callers of one private
- * forward, so a batch row and a single uncached call are the same
- * computation. That forward's attention is two gemmAccum products per
- * (sequence, head, query tile), not a per-row loop.
+ * single-sequence forward. That forward's attention is two gemmAccum
+ * products per (head, query tile), not a per-row loop.
  */
 class InferenceSession
 {
@@ -85,7 +83,8 @@ class InferenceSession
     /**
      * Predict one metric. With use_cache=true, a hit on the static-prefix
      * key activates partial recomputation; any miss falls back to a full
-     * forward and re-primes the cache.
+     * forward and re-primes the cache. With use_cache=false the call is
+     * stateless: it neither consults nor primes the cache.
      */
     NumericPrediction predict(const EncodedProgram& ep, Metric m,
                               bool use_cache, int beam_width = 3);
@@ -94,20 +93,16 @@ class InferenceSession
      * Pooled encoder output as a [1, dim] tensor, ready for
      * DigitHead::decode. This is the forward half of predict(),
      * exposed so callers querying several metrics for one encoding —
-     * the batched prediction server — can share a single forward
-     * across the per-metric decodes.
+     * the prediction server — can share a single forward across the
+     * per-metric decodes. use_cache as in predict().
      */
     nn::TensorPtr pooled(const EncodedProgram& ep, bool use_cache);
 
     /**
-     * Batched autograd-free pooled forward: one pass over B encodings,
-     * returning pooled rows [B, dim]. Row i is bit-identical to
-     * pooled(*eps[i], use_cache=false) — sequences never interact, and
-     * the forward's per-row float ops do not depend on which rows share
-     * a tile. The prefix cache is neither consulted nor re-primed
-     * (batch traffic has no single "previous" program), so
-     * interleaving batched and cached calls is safe. This is the
-     * serving workers' per-micro-batch entry point.
+     * Pooled rows [B, dim] of B encodings: row i is
+     * pooled(*eps[i], use_cache=false), so the prefix cache is neither
+     * consulted nor primed. A convenience for benchmarks that time
+     * several forwards at once.
      */
     nn::TensorPtr
     forwardPooledBatch(const std::vector<const EncodedProgram*>& eps);
@@ -146,14 +141,13 @@ class InferenceSession
     Layout computeLayout(const EncodedProgram& ep) const;
 
     /**
-     * The transformer forward over eps stacked raggedly (lays[b] is
-     * eps[b]'s layout), returning pooled rows [B * dim]. With 'partial',
-     * rows flagged reusable are served from the cache; with 'prime', this
-     * forward's K/V and outputs become the cache. Both need B == 1.
+     * The transformer forward over one encoding with layout lay,
+     * returning its pooled row [dim]. With 'partial', rows flagged
+     * reusable are served from the cache; with 'prime', this forward's
+     * K/V and outputs become the cache.
      */
-    std::vector<float> forward(const std::vector<const EncodedProgram*>& eps,
-                               const std::vector<Layout>& lays, bool partial,
-                               bool prime);
+    std::vector<float> forward(const EncodedProgram& ep, const Layout& lay,
+                               bool partial, bool prime);
 };
 
 } // namespace model

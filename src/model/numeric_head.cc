@@ -109,19 +109,11 @@ DigitHead::loss(const nn::TensorPtr& pooled, long target_value) const
 NumericPrediction
 DigitHead::decode(const nn::TensorPtr& pooled, int beam_width) const
 {
-    LLM_CHECK(pooled->rows == 1,
-              "decode expects one pooled row (got " << pooled->rows
-                                                    << "); use decodeBatch");
-    return decodeBatch(pooled, beam_width).front();
-}
-
-std::vector<NumericPrediction>
-DigitHead::decodeBatch(const nn::TensorPtr& pooled, int beam_width) const
-{
-    LLM_CHECK(pooled->cols == encoderDim_,
-              "decodeBatch pooled width " << pooled->cols);
-    LLM_CHECK(beam_width >= 1, "decodeBatch beam width " << beam_width);
-    const int R = pooled->rows;
+    LLM_CHECK(pooled->rows == 1 && pooled->cols == encoderDim_,
+              "decode expects one pooled row of width "
+                  << encoderDim_ << " (got " << pooled->rows << "x"
+                  << pooled->cols << ")");
+    LLM_CHECK(beam_width >= 1, "decode beam width " << beam_width);
 
     struct Beam
     {
@@ -129,78 +121,56 @@ DigitHead::decodeBatch(const nn::TensorPtr& pooled, int beam_width) const
         std::vector<double> probs;
         double logp = 0;
     };
-    // Independent beam frontier per pooled row.
-    std::vector<std::vector<Beam>> beams(R, {Beam{}});
+    std::vector<Beam> beams{Beam{}};
 
     for (int j = 0; j < cfg.width; ++j) {
-        // Stack every live beam of every row into one MLP forward:
-        // one input row per (pooled row, beam) pair, in row-major order.
-        std::vector<int> prev_ids, owner;
-        for (int r = 0; r < R; ++r)
-            for (const auto& b : beams[r]) {
-                prev_ids.push_back(b.digits.empty() ? cfg.base
-                                                    : b.digits.back());
-                owner.push_back(r);
-            }
-        int w = static_cast<int>(prev_ids.size());
-        // Broadcast each owner's pooled row via a one-hot selector
-        // matmul — the same 0 + 1.f*v float ops as the single-row
-        // ones-vector broadcast, so values match it bitwise.
-        auto sel = nn::Tensor::zeros(w, R);
-        for (int i = 0; i < w; ++i)
-            sel->at(i, owner[i]) = 1.f;
-        nn::TensorPtr rep = nn::matmul(sel, pooled);
+        // Every live beam shares one MLP forward: one input row per beam.
+        const int w = static_cast<int>(beams.size());
+        std::vector<int> prev_ids;
+        for (const auto& b : beams)
+            prev_ids.push_back(b.digits.empty() ? cfg.base : b.digits.back());
+        auto ones = nn::Tensor::fromData(w, 1, std::vector<float>(w, 1.f));
+        nn::TensorPtr rep = nn::matmul(ones, pooled);
         nn::TensorPtr pos = posEmb_->forward(std::vector<int>(w, j));
         nn::TensorPtr prev = prevEmb_->forward(prev_ids);
         nn::TensorPtr logits = head_->forward(
             nn::concatCols(nn::concatCols(rep, pos), prev));
 
-        int bi = 0;
-        for (int r = 0; r < R; ++r) {
-            std::vector<Beam> next;
-            for (const auto& beam : beams[r]) {
-                // Softmax over the row (plain math, no autograd needed).
-                float mx = logits->at(bi, 0);
-                for (int d = 1; d < cfg.base; ++d)
-                    mx = std::max(mx, logits->at(bi, d));
-                double sum = 0;
-                std::vector<double> probs(cfg.base);
-                for (int d = 0; d < cfg.base; ++d) {
-                    probs[d] = std::exp(double(logits->at(bi, d)) - mx);
-                    sum += probs[d];
-                }
-                for (int d = 0; d < cfg.base; ++d) {
-                    probs[d] /= sum;
-                    Beam nb = beam;
-                    nb.digits.push_back(d);
-                    nb.probs.push_back(probs[d]);
-                    nb.logp += std::log(std::max(probs[d], 1e-12));
-                    next.push_back(std::move(nb));
-                }
-                ++bi;
+        std::vector<Beam> next;
+        for (int bi = 0; bi < w; ++bi) {
+            // Softmax over the row (plain math, no autograd needed).
+            float mx = logits->at(bi, 0);
+            for (int d = 1; d < cfg.base; ++d)
+                mx = std::max(mx, logits->at(bi, d));
+            double sum = 0;
+            std::vector<double> probs(cfg.base);
+            for (int d = 0; d < cfg.base; ++d) {
+                probs[d] = std::exp(double(logits->at(bi, d)) - mx);
+                sum += probs[d];
             }
-            std::sort(next.begin(), next.end(), [](const Beam& a,
-                                                   const Beam& b) {
-                return a.logp > b.logp;
-            });
-            if (static_cast<int>(next.size()) > beam_width)
-                next.resize(beam_width);
-            beams[r] = std::move(next);
+            for (int d = 0; d < cfg.base; ++d) {
+                probs[d] /= sum;
+                Beam nb = beams[bi];
+                nb.digits.push_back(d);
+                nb.probs.push_back(probs[d]);
+                nb.logp += std::log(std::max(probs[d], 1e-12));
+                next.push_back(std::move(nb));
+            }
         }
+        std::sort(next.begin(), next.end(),
+                  [](const Beam& a, const Beam& b) { return a.logp > b.logp; });
+        if (static_cast<int>(next.size()) > beam_width)
+            next.resize(beam_width);
+        beams = std::move(next);
     }
 
-    std::vector<NumericPrediction> out;
-    out.reserve(R);
-    for (int r = 0; r < R; ++r) {
-        const Beam& best = beams[r].front();
-        NumericPrediction p;
-        p.digits = best.digits;
-        p.digitProbs = best.probs;
-        p.logProb = best.logp;
-        p.value = fromDigits(best.digits, cfg.base);
-        out.push_back(std::move(p));
-    }
-    return out;
+    const Beam& best = beams.front();
+    NumericPrediction p;
+    p.digits = best.digits;
+    p.digitProbs = best.probs;
+    p.logProb = best.logp;
+    p.value = fromDigits(best.digits, cfg.base);
+    return p;
 }
 
 std::vector<nn::TensorPtr>

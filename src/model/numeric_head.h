@@ -83,19 +83,13 @@ class DigitHead : public nn::Module
     /** Cross-entropy loss (Equation 1 summed over digit positions). */
     nn::TensorPtr loss(const nn::TensorPtr& pooled, long target_value) const;
 
-    /** Beam-search decode with per-digit confidences (B=1 wrapper). */
+    /**
+     * Beam-search decode of one pooled row [1, encoder_dim] with
+     * per-digit confidences; at every digit position the live beams
+     * share one MLP forward. beam_width must be >= 1.
+     */
     NumericPrediction decode(const nn::TensorPtr& pooled,
                              int beam_width = 3) const;
-
-    /**
-     * Batched beam-search decode over pooled rows [R, encoder_dim]: at
-     * every digit position the live beams of ALL rows share one MLP
-     * forward. Result r is bit-identical to decode(row r) — beams of
-     * different rows never interact, and the stacked MLP is row-wise.
-     * beam_width must be >= 1.
-     */
-    std::vector<NumericPrediction>
-    decodeBatch(const nn::TensorPtr& pooled, int beam_width = 3) const;
 
     std::vector<nn::TensorPtr> parameters() const override;
 

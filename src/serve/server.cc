@@ -254,10 +254,10 @@ PredictionServer::processBatch(std::vector<Request>& batch,
     dispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
 
     // Stage boundaries are stamped so every queue-dispatched request's
-    // end-to-end span strictly contains its queue-wait, the batch
-    // forward, and its metric bucket's decode as disjoint sub-intervals
-    // (pinned by test_serve): decode and cache fill are timed BEFORE
-    // any of their bucket's fulfil calls run.
+    // end-to-end span strictly contains its queue-wait, the batch's
+    // forwards, and its key's decode as disjoint sub-intervals (pinned
+    // by test_serve): decode and cache fill are timed BEFORE the key's
+    // fulfil calls run.
     const auto batchStart = Clock::now();
     OBS_SPAN_ID("serve.batch", batchId);
 
@@ -271,13 +271,16 @@ PredictionServer::processBatch(std::vector<Request>& batch,
     }
 
     // Group cache misses by (program, input): those requests share one
-    // tokenization + encoder forward, the dominant per-request cost.
-    // Requests for the same key additionally share the head decode.
+    // tokenization + encoder forward, the dominant per-request cost, so
+    // a group is encoded when its first request arrives.
+    // Within a group, requests for the same key share one head decode.
     struct Group
     {
         uint64_t program;
         uint64_t input;
-        std::vector<Request*> members;
+        std::vector<std::vector<Request*>> byKey; //!< one list per key
+        model::EncodedProgram ep;
+        nn::TensorPtr pooled;
     };
     std::vector<Group> groups;
 
@@ -300,34 +303,24 @@ PredictionServer::processBatch(std::vector<Request>& batch,
             return g.program == req.key.program && g.input == req.key.input;
         });
         if (it == groups.end()) {
-            groups.push_back({req.key.program, req.key.input, {}});
+            groups.push_back(
+                {req.key.program, req.key.input, {},
+                 m.encode(req.graph, req.hasData ? &req.data : nullptr), {}});
             it = groups.end() - 1;
         }
-        it->members.push_back(&req);
+        auto kit = std::find_if(
+            it->byKey.begin(), it->byKey.end(),
+            [&](const std::vector<Request*>& k) {
+                return k.front()->key == req.key;
+            });
+        if (kit == it->byKey.end())
+            it->byKey.push_back({&req});
+        else
+            kit->push_back(&req);
     }
 
     if (groups.empty())
         return;
-
-    // ONE batched autograd-free encoder forward for the whole
-    // micro-batch: every distinct (program, input) contributes one row.
-    // pooled() and forwardPooledBatch() run the session's one forward,
-    // and a row never depends on the rows stacked beside it, so this is
-    // bit-identical to InferenceSession::pooled() per group: batching
-    // changes throughput, never results. The prefix-reuse cache stays off: its
-    // documented Class-I approximation would make results depend on
-    // request order, breaking the batched == sequential guarantee.
-    std::vector<model::EncodedProgram> eps;
-    std::vector<const model::EncodedProgram*> epPtrs;
-    eps.reserve(groups.size());
-    epPtrs.reserve(groups.size());
-    for (Group& group : groups) {
-        Request& first = *group.members.front();
-        eps.push_back(m.encode(first.graph,
-                               first.hasData ? &first.data : nullptr));
-    }
-    for (const auto& ep : eps)
-        epPtrs.push_back(&ep);
 
     // Assembly stage: cache probe + grouping + tokenize/encode.
     const auto assemblyEnd = Clock::now();
@@ -336,84 +329,53 @@ PredictionServer::processBatch(std::vector<Request>& batch,
         obs::recordSpan("serve.batch_assembly", batchStart, assemblyEnd,
                         batchId);
 
-    nn::TensorPtr pooled = session.forwardPooledBatch(epPtrs);
+    // One autograd-free encoder forward per group. The prefix-reuse
+    // cache stays off: its documented Class-I approximation would make
+    // results depend on request order, so pooled(ep, false) keeps every
+    // served answer equal to that encoding's uncached forward.
+    for (Group& group : groups)
+        group.pooled = session.pooled(group.ep, /*use_cache=*/false);
 
     const auto forwardEnd = Clock::now();
     forwardMs_.record(msBetween(assemblyEnd, forwardEnd));
     if (obs::traceEnabled())
         obs::recordSpan("serve.forward", assemblyEnd, forwardEnd, batchId);
 
-    // One decode per distinct key, bucketed by metric so every bucket
-    // shares a single batched beam-search decode; duplicate requests in
-    // the same batch reuse the freshly computed prediction.
-    struct Job
-    {
-        ResultKey key;
-        size_t groupIdx;
-        std::vector<Request*> requests;
-    };
-    std::vector<Job> jobs;
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-        for (Request* rp : groups[gi].members) {
-            auto jit = std::find_if(
-                jobs.begin(), jobs.end(),
-                [&](const Job& j) { return j.key == rp->key; });
-            if (jit == jobs.end()) {
-                jobs.push_back({rp->key, gi, {rp}});
-            } else {
-                jit->requests.push_back(rp);
-            }
-        }
-    }
+    // One decode per distinct key, then its cache fill, then its
+    // requests' fulfils; duplicate requests reuse the fresh prediction.
+    for (Group& group : groups) {
+        for (const std::vector<Request*>& requests : group.byKey) {
+            const ResultKey& key = requests.front()->key;
+            const auto decodeStart = Clock::now();
+            const model::NumericPrediction pred =
+                m.head(static_cast<model::Metric>(key.metric))
+                    .decode(group.pooled, cfg_.beamWidth);
+            modelCalls_.fetch_add(1, std::memory_order_relaxed);
 
-    const int dim = pooled->cols;
-    for (int mi = 0; mi < model::kNumMetrics; ++mi) {
-        std::vector<Job*> bucket;
-        for (Job& j : jobs)
-            if (j.key.metric == mi)
-                bucket.push_back(&j);
-        if (bucket.empty())
-            continue;
-        const auto decodeStart = Clock::now();
-        // Gather the bucket's pooled rows (row copies preserve bits).
-        std::vector<float> rows(bucket.size() * size_t(dim));
-        for (size_t bi = 0; bi < bucket.size(); ++bi) {
-            const float* src =
-                pooled->value.data() + bucket[bi]->groupIdx * size_t(dim);
-            std::copy(src, src + dim, rows.begin() + bi * size_t(dim));
-        }
-        auto bucketPooled = nn::Tensor::fromData(
-            static_cast<int>(bucket.size()), dim, std::move(rows));
-        std::vector<model::NumericPrediction> preds =
-            m.head(static_cast<model::Metric>(mi))
-                .decodeBatch(bucketPooled, cfg_.beamWidth);
-        modelCalls_.fetch_add(preds.size(), std::memory_order_relaxed);
+            const auto decodeEnd = Clock::now();
+            decodeMs_.record(msBetween(decodeStart, decodeEnd));
+            if (obs::traceEnabled())
+                obs::recordSpan("serve.decode", decodeStart, decodeEnd,
+                                batchId);
 
-        const auto decodeEnd = Clock::now();
-        decodeMs_.record(msBetween(decodeStart, decodeEnd));
-        if (obs::traceEnabled())
-            obs::recordSpan("serve.decode", decodeStart, decodeEnd, batchId);
+            cache_.put(key, pred);
+            const auto fillEnd = Clock::now();
+            cacheFillMs_.record(msBetween(decodeEnd, fillEnd));
+            if (obs::traceEnabled())
+                obs::recordSpan("serve.cache_fill", decodeEnd, fillEnd,
+                                batchId);
 
-        // Cache fill for the whole bucket, then fulfil: the fill is
-        // timed before any member's end-to-end span closes.
-        for (size_t bi = 0; bi < bucket.size(); ++bi)
-            cache_.put(bucket[bi]->key, preds[bi]);
-        const auto fillEnd = Clock::now();
-        cacheFillMs_.record(msBetween(decodeEnd, fillEnd));
-        if (obs::traceEnabled())
-            obs::recordSpan("serve.cache_fill", decodeEnd, fillEnd, batchId);
-
-        for (size_t bi = 0; bi < bucket.size(); ++bi)
-            for (Request* rp : bucket[bi]->requests) {
-                fulfil(*rp, preds[bi]);
+            for (Request* rp : requests) {
+                fulfil(*rp, pred);
                 // Shadow stream: offer freshly computed dynamic-cycles
                 // answers for background profiling (fulfil() only
                 // consumes the promise; the graph/data stay owned by
                 // the batch until processBatch returns).
                 if (calib_ && rp->hasData &&
                     rp->metric == model::Metric::Cycles)
-                    calib_->offer(rp->graph, rp->data, preds[bi].value);
+                    calib_->offer(rp->graph, rp->data, pred.value);
             }
+        }
     }
 }
 

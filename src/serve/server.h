@@ -3,24 +3,22 @@
 
 /**
  * @file
- * Concurrent batched prediction-serving runtime (the ROADMAP "serve
- * heavy traffic" direction).
+ * Concurrent micro-batched prediction-serving runtime (the ROADMAP
+ * "serve heavy traffic" direction).
  *
  * A PredictionServer owns one trained CostModel and a pool of worker
  * threads behind a bounded MPMC request queue. Workers pop micro-batches
- * (up to `batchMax` requests, or whatever arrives within `batchTimeout`),
- * group a batch's cache misses by (program hash, input hash), and run ONE
- * batched autograd-free encoder forward for the whole micro-batch
- * (InferenceSession::forwardPooledBatch — paper Section 5.3's fast path
- * without its prefix-reuse approximation), followed by one batched
- * digit-head decode per requested metric. No training tape is built on
- * the serving path. The session has one forward over the nn::Backend
- * kernels, shared by batched and single calls, so results are identical
- * bit for bit to serving each request alone under either backend —
- * batching and grouping only share work, they never change any row's
- * computation (the forwardPooledBatch / decodeBatch contracts) — and
- * agree with CostModel::predict() up to its documented fast/slow-path
- * tolerance.
+ * (up to `batchMax` requests, or whatever arrives within `batchTimeout`)
+ * and group a batch's cache misses by (program hash, input hash). Each
+ * group is encoded once and runs one autograd-free encoder forward
+ * (InferenceSession::pooled with the cache off — paper Section 5.3's
+ * fast path without its prefix-reuse approximation), followed by one
+ * digit-head decode per distinct requested key. No training tape is
+ * built on the serving path. A served answer is therefore the uncached
+ * session forward + decode of its own encoding, bit for bit under
+ * either backend — grouping only shares work, it never changes a
+ * result — and agrees with CostModel::predict() up to its documented
+ * fast/slow-path tolerance.
  *
  * Finished predictions land in a sharded LRU ResultCache keyed by
  * (program DFIR hash, runtime-input hash, metric); repeated queries are
@@ -30,9 +28,9 @@
  * queue-wait and per-stage breakdowns to the counters; when
  * LLMULATOR_TRACE is set the request lifecycle additionally exports
  * trace spans (serve.request / serve.queue_wait per request,
- * serve.batch / serve.batch_assembly / serve.forward / serve.decode /
- * serve.cache_fill per micro-batch, correlated by request and batch
- * ids). Telemetry is speed-only: it is never hashed into cache keys
+ * serve.batch / serve.batch_assembly / serve.forward per micro-batch,
+ * serve.decode / serve.cache_fill per distinct key, correlated by
+ * request and batch ids). Telemetry is speed-only: it is never hashed into cache keys
  * and cannot change a result bit. With the default
  * `canonicalCacheKeys`, the program hash is dfir::canonicalHash — the
  * structural hash of the canonicalized graph — and the input hash is
@@ -165,9 +163,10 @@ struct ServerStats
     //! requests; submit-path cache hits never wait.
     double meanQueueWaitMs = 0;
     double queueWaitP99Ms = 0;
-    //! Per-micro-batch stage means: assembly (cache probe + grouping +
-    //! encode), one batched forward, per-metric-bucket decode, and
-    //! result-cache fill. Sourced from the `serve.stage.*` histograms.
+    //! Stage means: assembly (cache probe + grouping + encode) and the
+    //! forwards of every group, per micro-batch; decode and result-cache
+    //! fill, per distinct key. Sourced from the `serve.stage.*`
+    //! histograms.
     double meanAssemblyMs = 0;
     double meanForwardMs = 0;
     double meanDecodeMs = 0;

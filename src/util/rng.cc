@@ -105,11 +105,5 @@ Rng::index(size_t n)
     return static_cast<size_t>(next() % n);
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ull);
-}
-
 } // namespace util
 } // namespace llmulator

@@ -71,9 +71,6 @@ class Rng
         }
     }
 
-    /** Derive an independent child generator (for parallel-safe streams). */
-    Rng fork();
-
   private:
     uint64_t s_[4];
     bool haveSpareNormal_ = false;

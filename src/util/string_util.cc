@@ -8,23 +8,6 @@ namespace llmulator {
 namespace util {
 
 std::vector<std::string>
-split(const std::string& s, char delim)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == delim) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
-std::vector<std::string>
 splitWhitespace(const std::string& s)
 {
     std::vector<std::string> out;
@@ -98,14 +81,6 @@ uint64_t
 hashCombine(uint64_t a, uint64_t b)
 {
     return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-}
-
-std::string
-padLeft(const std::string& s, size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return std::string(width - s.size(), ' ') + s;
 }
 
 std::string

@@ -14,9 +14,6 @@
 namespace llmulator {
 namespace util {
 
-/** Split on single-character delimiter; keeps empty fields. */
-std::vector<std::string> split(const std::string& s, char delim);
-
 /** Split on runs of ASCII whitespace; drops empty fields. */
 std::vector<std::string> splitWhitespace(const std::string& s);
 
@@ -36,9 +33,6 @@ uint64_t fnv1a(const std::string& s);
 
 /** Combine two hashes (boost-style). */
 uint64_t hashCombine(uint64_t a, uint64_t b);
-
-/** Fixed-width right-aligned cell used by the table printers. */
-std::string padLeft(const std::string& s, size_t width);
 
 /** Fixed-width left-aligned cell used by the table printers. */
 std::string padRight(const std::string& s, size_t width);

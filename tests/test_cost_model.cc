@@ -322,6 +322,26 @@ TEST(FastEncoder, CacheHitOnSameEncodingReproducesUncachedRow)
     EXPECT_EQ(cached->value, exact->value);
 }
 
+TEST(FastEncoder, UncachedCallLeavesPrefixCacheCold)
+{
+    CostModel m(tinyConfig());
+    auto g = makeGraph({makeScale(8), makeThreshold()});
+    RuntimeData d1, d2;
+    d1.scalars["N"] = 16;
+    d2.scalars["N"] = 48; // data-only change, same static prefix
+    auto ep1 = m.encode(g, &d1);
+    auto ep2 = m.encode(g, &d2);
+
+    // An uncached call neither consults nor primes the cache, so the
+    // cached call after it misses and runs a full forward.
+    model::InferenceSession session(m);
+    session.pooled(ep1, false);
+    session.pooled(ep2, true);
+    EXPECT_EQ(session.stats().cachedForwards, 0);
+    EXPECT_EQ(session.stats().fullForwards, 2);
+    EXPECT_EQ(session.stats().rowsReused, 0);
+}
+
 /** Counts of the attention events a reference forward went through. */
 struct ReferenceTally
 {
@@ -508,7 +528,10 @@ TEST(FastEncoder, SessionMatchesPlainReferenceForwardBitForBit)
             EXPECT_TRUE(bitEqual(session.pooled(eps[i], false)->value,
                                  ref[i]))
                 << "uncached, encoding " << i;
-            session.pooled(eps[i], true); // primes the prefix cache
+            // An uncached call leaves the cache as it was, so drop the
+            // previous encoding's prefix: this call misses and primes.
+            session.invalidate();
+            session.pooled(eps[i], true);
             const long hits = session.stats().cachedForwards;
             EXPECT_TRUE(bitEqual(session.pooled(eps[i], true)->value,
                                  ref[i]))

@@ -361,9 +361,9 @@ TEST(NnBackend, TrainingTrajectoryBitIdentity)
 }
 
 /**
- * InferenceSession pooled rows under one backend: an uncached call that
- * primes the prefix cache, a data-only change served as a cache hit,
- * and a mixed batch.
+ * InferenceSession pooled rows under one backend: a cache miss (a full
+ * forward that primes the prefix cache), a data-only change served as
+ * a cache hit, and a mixed batch.
  */
 std::vector<std::vector<float>>
 runSession(const nn::Backend& be)
@@ -384,7 +384,7 @@ runSession(const nn::Backend& be)
 
     model::InferenceSession session(m);
     std::vector<std::vector<float>> out;
-    out.push_back(session.pooled(canon, /*use_cache=*/false)->value);
+    out.push_back(session.pooled(canon, /*use_cache=*/true)->value);
     out.push_back(session.pooled(variant, /*use_cache=*/true)->value);
     EXPECT_EQ(session.stats().cachedForwards, 1);
     EXPECT_GT(session.stats().rowsReused, 0);

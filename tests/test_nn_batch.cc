@@ -1,9 +1,9 @@
 /**
  * @file
- * Forward-path tests. The serve batch (InferenceSession::
- * forwardPooledBatch + DigitHead::decodeBatch) must match B sequential
- * session forwards; the tape encoder's single-sequence forward must
- * truncate to maxSeq exactly and stay bit-identical with telemetry on.
+ * Forward-path tests. InferenceSession::forwardPooledBatch must match
+ * B sequential uncached session forwards; the tape encoder's
+ * single-sequence forward must truncate to maxSeq exactly and stay
+ * bit-identical with telemetry on.
  *
  * Every equality here is EXPECT_EQ on float values (or whole vectors),
  * not near-comparison: bit-identity is the API contract that keeps
@@ -155,10 +155,10 @@ TEST(InferenceSessionBatch, ForwardPooledBatchMatchesSequential)
     model::CostModel m(tinyModelConfig());
     DataflowGraph g1 = makeGraph("x", 3), g2 = makeGraph("y", 4);
     RuntimeData d = makeData(20);
-    // Mixed lengths stack the sequences at unaligned row offsets, so the
-    // forward's row tiles straddle sequence boundaries. The long chain is
-    // encoded by a model with a wider position table, so it reaches the
-    // session longer than maxSeq and is truncated there.
+    // Mixed lengths end the forward's row tiles at different offsets.
+    // The long chain is encoded by a model with a wider position table,
+    // so it reaches the session longer than maxSeq and is truncated
+    // there.
     auto wideCfg = tinyModelConfig();
     wideCfg.enc.maxSeq = 2 * m.config().enc.maxSeq;
     model::CostModel wide(wideCfg);
@@ -193,33 +193,6 @@ TEST(InferenceSessionBatch, ForwardPooledBatchMatchesSequential)
             << "fast-path pooled row " << i;
     }
     EXPECT_EQ(batchSession.stats().rowsComputed, seq.stats().rowsComputed);
-}
-
-TEST(DigitHeadBatch, DecodeBatchMatchesSequentialDecode)
-{
-    model::CostModel m(tinyModelConfig());
-    DataflowGraph g1 = makeGraph("p", 1), g2 = makeGraph("q", 5);
-    auto epA = m.encode(g1, nullptr);
-    auto epB = m.encode(g2, nullptr);
-
-    model::InferenceSession session(m);
-    nn::TensorPtr pooled = session.forwardPooledBatch({&epA, &epB});
-
-    for (int mi = 0; mi < model::kNumMetrics; ++mi) {
-        const model::DigitHead& head =
-            m.head(static_cast<model::Metric>(mi));
-        auto preds = head.decodeBatch(pooled, /*beam_width=*/3);
-        ASSERT_EQ(preds.size(), 2u);
-        for (int r = 0; r < 2; ++r) {
-            auto row = nn::Tensor::fromData(1, pooled->cols,
-                                            rowSpan(pooled, r, 1));
-            model::NumericPrediction ref = head.decode(row, 3);
-            EXPECT_EQ(preds[r].value, ref.value);
-            EXPECT_EQ(preds[r].digits, ref.digits);
-            EXPECT_EQ(preds[r].digitProbs, ref.digitProbs);
-            EXPECT_EQ(preds[r].logProb, ref.logProb);
-        }
-    }
 }
 
 // Telemetry is speed-only: with the metrics and trace gates forced on,

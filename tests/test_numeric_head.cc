@@ -132,9 +132,9 @@ TEST(DigitHead, DecodeRejectsNonPositiveBeamWidth)
     NumericHeadConfig cfg;
     cfg.width = 4;
     DigitHead head(8, cfg, rng);
-    auto pooled = nn::Tensor::zeros(2, 8);
-    EXPECT_DEATH(head.decodeBatch(pooled, 0), "beam width 0");
-    EXPECT_DEATH(head.decodeBatch(pooled, -1), "beam width -1");
+    auto pooled = nn::Tensor::zeros(1, 8);
+    EXPECT_DEATH(head.decode(pooled, 0), "beam width 0");
+    EXPECT_DEATH(head.decode(pooled, -1), "beam width -1");
 }
 
 TEST(DigitHead, BinaryBaseNeedsMoreSteps)

@@ -412,8 +412,8 @@ TEST(PredictionServer, ManyConcurrentClientThreads)
                     metric == model::Metric::Cycles ? &datas[gi] : nullptr,
                     metric);
                 // Full bitwise comparison: under concurrent clients the
-                // batched forward must still reproduce the sequential
-                // fast path exactly, probabilities and log-prob
+                // micro-batched serving path must still reproduce the
+                // sequential fast path exactly, probabilities and log-prob
                 // included — not just the decoded value.
                 if (pred.value != expected[gi][m].value ||
                     pred.digits != expected[gi][m].digits ||
