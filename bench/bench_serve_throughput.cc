@@ -17,8 +17,10 @@
  *   serve_throughput,cached_rps,<req/s, cache enabled, repeat mix>
  *   serve_throughput,cache_hit_rate,<fraction in [0,1]>
  *   serve_throughput,queue_wait_p99_ms_w<N>,<queue-wait p99, N workers>
- *   serve_throughput,stage_share_<stage>,<share of the summed stage
- *     means, 4-worker run: assembly|forward|decode|cache_fill>
+ *   serve_throughput,stage_share_<stage>,<stage's share of the summed
+ *     stage time, 4-worker run: assembly|forward|decode|cache_fill; each
+ *     stage's time is its histogram's sum (mean x events, per micro-batch
+ *     for assembly and forward, per key for decode and cache fill)>
  *   serve_throughput,serve.*,<stage-histogram registry rows from one
  *     instrumented pass>
  *   serve_throughput,nn.*,<GEMM call/FLOP counters from the same pass>
@@ -81,12 +83,21 @@ buildQueries(const std::vector<workloads::Workload>& ws)
     return qs;
 }
 
+/** The server's per-stage histograms, in stage_share_* order. */
+const char* const kStageHistograms[] = {
+    "serve.stage.assembly_ms", "serve.stage.forward_ms",
+    "serve.stage.decode_ms", "serve.stage.cache_fill_ms"};
+const char* const kStageShareRows[] = {
+    "stage_share_assembly", "stage_share_forward", "stage_share_decode",
+    "stage_share_cache_fill"};
+
 struct RunResult
 {
     double rps = 0;
     double p95Ms = 0;
     double hitRate = 0;
     serve::ServerStats stats; //!< full snapshot, taken before teardown
+    double stageTotalMs[4] = {}; //!< summed time per kStageHistograms
 };
 
 /**
@@ -137,6 +148,10 @@ runConfig(const model::CostModel& base, const serve::ServeConfig& cfg,
     res.p95Ms = stats.p95LatencyMs;
     res.hitRate = stats.hitRate();
     res.stats = stats;
+    for (int i = 0; i < 4; ++i)
+        if (const obs::Histogram* h =
+                server.telemetry().findHistogram(kStageHistograms[i]))
+            res.stageTotalMs[i] = h->snapshot().sum;
     return res;
 }
 
@@ -194,21 +209,17 @@ main(int argc, char** argv)
                        util::format("speedup_w%d", workers).c_str(),
                        speedup);
         if (workers == 4) {
-            // Per-stage share of the summed stage means (assembly and
-            // forward per batch, decode and cache fill per key), so the
-            // trajectory shows where worker time goes.
-            double tot = r.stats.meanAssemblyMs + r.stats.meanForwardMs +
-                         r.stats.meanDecodeMs + r.stats.meanCacheFillMs;
-            if (tot > 0) {
-                bench::csv("serve_throughput", "stage_share_assembly",
-                           r.stats.meanAssemblyMs / tot);
-                bench::csv("serve_throughput", "stage_share_forward",
-                           r.stats.meanForwardMs / tot);
-                bench::csv("serve_throughput", "stage_share_decode",
-                           r.stats.meanDecodeMs / tot);
-                bench::csv("serve_throughput", "stage_share_cache_fill",
-                           r.stats.meanCacheFillMs / tot);
-            }
+            // Each stage's share of the summed stage time. The totals
+            // come from the histogram sums (mean x event count), because
+            // the stages count different events: assembly and forward
+            // once per micro-batch, decode and cache fill once per key.
+            double tot = 0;
+            for (double ms : r.stageTotalMs)
+                tot += ms;
+            if (tot > 0)
+                for (int i = 0; i < 4; ++i)
+                    bench::csv("serve_throughput", kStageShareRows[i],
+                               r.stageTotalMs[i] / tot);
         }
     }
     std::printf("== worker scaling (cache disabled) ==\n");

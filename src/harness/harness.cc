@@ -146,14 +146,19 @@ floatBits(float f)
     return b;
 }
 
-/** Key combining tag + config hash + dataset hash + training schedule. */
+} // namespace
+
 std::string
-cacheKey(const std::string& tag, uint64_t cfg_hash, const synth::Dataset& ds,
-         const TrainConfig& tcfg)
+modelCacheKey(const std::string& tag, uint64_t cfg_hash,
+              const synth::Dataset& ds, const TrainConfig& tcfg,
+              uint32_t numerics)
 {
     uint64_t h = util::fnv1a(tag);
     h = util::hashCombine(h, cfg_hash);
     h = util::hashCombine(h, datasetKey(ds));
+    // Every learned model runs the nn kernels, whose float numerics move
+    // trained weights without any config change.
+    h = util::hashCombine(h, numerics);
     // Every math-affecting TrainConfig field participates, so new knobs
     // can never alias a stale artifact. trainThreads is excluded on
     // purpose: the engine is bit-identical across thread counts (see
@@ -166,6 +171,8 @@ cacheKey(const std::string& tag, uint64_t cfg_hash, const synth::Dataset& ds,
     return util::format("%s_%016llx", tag.c_str(),
                         static_cast<unsigned long long>(h));
 }
+
+namespace {
 
 /** Engine configuration derived from the bench-suite TrainConfig. */
 TrainerConfig
@@ -234,7 +241,7 @@ trainCostModel(const model::CostModelConfig& mcfg, const synth::Dataset& ds,
                const TrainConfig& tcfg, const std::string& tag)
 {
     auto m = std::make_unique<model::CostModel>(mcfg);
-    std::string key = cacheKey(tag, costModelCfgHash(mcfg), ds, tcfg);
+    std::string key = modelCacheKey(tag, costModelCfgHash(mcfg), ds, tcfg);
     if (eval::loadCached(key, m->parameters())) {
         std::printf("[train] %s: loaded from cache\n", tag.c_str());
         std::fflush(stdout);
@@ -300,7 +307,7 @@ trainTlp(const synth::Dataset& ds, const TrainConfig& tcfg,
             m->observeTarget(static_cast<model::Metric>(mi),
                              s.targets.get(static_cast<model::Metric>(mi)));
 
-    std::string key = cacheKey(tag + "_tlp", 0x71b, ds, tcfg);
+    std::string key = modelCacheKey(tag + "_tlp", 0x71b, ds, tcfg);
     if (eval::loadCached(key, m->parameters()))
         return m;
 
@@ -337,7 +344,7 @@ trainGnnHls(const synth::Dataset& ds, const TrainConfig& tcfg,
             m->observeTarget(static_cast<model::Metric>(mi),
                              s.targets.get(static_cast<model::Metric>(mi)));
 
-    std::string key = cacheKey(tag + "_gnn", 0x6e4e, ds, tcfg);
+    std::string key = modelCacheKey(tag + "_gnn", 0x6e4e, ds, tcfg);
     if (eval::loadCached(key, m->parameters()))
         return m;
 
@@ -374,7 +381,7 @@ trainTensetMlp(const synth::Dataset& ds, const TrainConfig& tcfg,
             m->observeTarget(static_cast<model::Metric>(mi),
                              s.targets.get(static_cast<model::Metric>(mi)));
 
-    std::string key = cacheKey(tag + "_tenset", 0x7e4, ds, tcfg);
+    std::string key = modelCacheKey(tag + "_tenset", 0x7e4, ds, tcfg);
     if (eval::loadCached(key, m->parameters()))
         return m;
 

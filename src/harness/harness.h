@@ -159,6 +159,16 @@ double calibratedCyclesError(const model::CostModel& base,
 /** Stable hash of a dataset (for cache keys). */
 uint64_t datasetKey(const synth::Dataset& ds);
 
+/**
+ * Model-cache key of a trained artifact: the tag, the model's config
+ * hash, the dataset, every math-affecting TrainConfig field and the
+ * numerics version of the nn kernels (model::kNumericsVersion), so an
+ * artifact trained under other float numerics never loads.
+ */
+std::string modelCacheKey(const std::string& tag, uint64_t cfg_hash,
+                          const synth::Dataset& ds, const TrainConfig& tcfg,
+                          uint32_t numerics = model::kNumericsVersion);
+
 } // namespace harness
 } // namespace llmulator
 

@@ -13,6 +13,7 @@
  * data attention.
  */
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -24,6 +25,20 @@
 
 namespace llmulator {
 namespace model {
+
+/**
+ * Version of the float numerics behind every forward: the nn kernels'
+ * exp, softmax and GELU evaluation. Served and trained values depend on
+ * it beyond the weights and the config, so it salts the model-cache key
+ * (harness::modelCacheKey) and stamps persisted result snapshots
+ * (net::PersistentResultCache), which load nothing from another
+ * version. Bump it with any change that moves a forward value.
+ *
+ *   0  libm exp / tanh
+ *   1  the repo expf (nn/expf.h) for every exp, GELU as
+ *      v / (1 + exp(-2u)), the fused attention column softmax
+ */
+inline constexpr uint32_t kNumericsVersion = 1;
 
 /** Prediction targets (paper Section 3 output vector). */
 enum class Metric { Power = 0, Area = 1, FlipFlops = 2, Cycles = 3 };

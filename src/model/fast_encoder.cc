@@ -1,11 +1,13 @@
 #include "model/fast_encoder.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <utility>
 
 #include "nn/backend.h"
 #include "nn/ops.h"
+#include "obs/trace.h"
 #include "util/common.h"
 #include "util/string_util.h"
 
@@ -42,11 +44,80 @@ constexpr int kTileRows = 16;
 /** Epsilon of the encoder's LayerNorm modules (nn::layerNormRows). */
 constexpr float kLnEps = 1e-5f;
 
-/** Attention score of a masked key, and the running max's start. */
-constexpr float kMasked = -1e30f;
+/** The per-layer stages of the forward, in execution order. */
+enum Stage
+{
+    kQkv,     //!< LN1 + Q/K/V projections
+    kScores,  //!< head panels, Q_h^T and S^T = K_h Q_h^T
+    kSoftmax, //!< scale, mask and column softmax over S^T
+    kContext, //!< ctx^T = V_h^T P^T and its copy-out
+    kOutLn2,  //!< output projection, residual, LN2
+    kFfnUp,   //!< FFN up projection
+    kGelu,    //!< GELU
+    kFfnDown, //!< FFN down projection and residual
+    kNumStages
+};
 
-/** Attention weights below this are dropped from the context sum. */
-constexpr float kMinWeight = 1e-9f;
+/** Trace span name of each Stage (string literals, as spans require). */
+constexpr const char* kStageSpan[kNumStages] = {
+    "model.forward.qkv",     "model.forward.scores",
+    "model.forward.softmax", "model.forward.context",
+    "model.forward.out_ln2", "model.forward.ffn_up",
+    "model.forward.gelu",    "model.forward.ffn_down",
+};
+
+/**
+ * Per-stage wall time of one layer, summed over its tiles and heads,
+ * recorded as one trace span per stage when the layer ends (spans laid
+ * back to back from the layer's start). Gated by obs::traceEnabled():
+ * when off, time() is one branch around the stage and nothing reads a
+ * clock, allocates or locks.
+ */
+class StageClock
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    StageClock() : on_(obs::traceEnabled()) {}
+
+    /** Run fn, charging its time to stage s. */
+    template <typename Fn>
+    void time(Stage s, const Fn& fn)
+    {
+        if (!on_) {
+            fn();
+            return;
+        }
+        const Clock::time_point t0 = Clock::now();
+        fn();
+        spent_[s] += Clock::now() - t0;
+    }
+
+    /** Mark the start of a layer. */
+    void beginLayer()
+    {
+        if (on_)
+            layerStart_ = Clock::now();
+    }
+
+    /** Record this layer's stage spans and reset the sums. */
+    void endLayer()
+    {
+        if (!on_)
+            return;
+        Clock::time_point at = layerStart_;
+        for (int s = 0; s < kNumStages; ++s) {
+            obs::recordSpan(kStageSpan[s], at, at + spent_[s]);
+            at += spent_[s];
+            spent_[s] = Clock::duration::zero();
+        }
+    }
+
+  private:
+    const bool on_;
+    Clock::time_point layerStart_{};
+    Clock::duration spent_[kNumStages] = {};
+};
 
 /**
  * y[m, out] = x[m, in] * W + b as one row-tile GEMM. The bias is written
@@ -182,76 +253,44 @@ InferenceSession::forward(const EncodedProgram& ep, const Layout& lay,
                          kLnEps, y, xhat.data(), invstd.data(), m, d);
     };
     const float inv_sqrt = 1.f / std::sqrt(static_cast<float>(hd));
+    StageClock clock;
 
     // One head's attention for query rows [r0, r0 + m), whose panels are
     // in kh/vt. Both products are transposed so their output rows are m
-    // wide: S^T = K_h Q_h^T, then a softmax down each column, then
-    // ctx^T = V_h^T P^T. gemmAccum starts every element at +0 and adds
-    // the ascending-k terms, skipping zero multipliers, so each score
-    // and context element is the plain `s = 0; s += q * k` and
-    // `out = 0; out += w * v` chain (a skipped or zeroed term adds ±0 to
-    // an accumulator that is never -0). Each row's context then
-    // overwrites its own q slice, which no later head reads.
+    // wide: S^T = K_h Q_h^T, then the backend's column softmax (scale,
+    // separation mask mirroring buildSeparationMask, max, exp, sum,
+    // normalize, 1e-9 drop) down each column, then ctx^T = V_h^T P^T.
+    // gemmAccum starts every element at +0 and adds the ascending-k
+    // terms, skipping zero multipliers, so each score and context element
+    // is the plain `s = 0; s += q * k` and `out = 0; out += w * v` chain
+    // (a skipped or zeroed term adds ±0 to an accumulator that is never
+    // -0). Each row's context then overwrites its own q slice, which no
+    // later head reads.
     auto attendTile = [&](int hh, int r0, int m) {
-        for (int t = 0; t < m; ++t) {
-            const float* qrow = q.data() + size_t(r0 + t) * d + hh * hd;
-            for (int x = 0; x < hd; ++x)
-                qt[size_t(x) * m + t] = qrow[x];
-        }
-        std::fill_n(st.begin(), size_t(n) * m, 0.f);
-        nn::gemmAccum(kh.data(), qt.data(), st.data(), n, hd, m);
-
-        // Scale, separation mask (mirrors buildSeparationMask: a Class I
-        // row and a data row never attend to each other) and column max.
-        float mx[kTileRows], sum[kTileRows];
-        uint8_t qClassI[kTileRows], qData[kTileRows];
-        for (int t = 0; t < m; ++t) {
-            mx[t] = kMasked;
-            sum[t] = 0.f;
-            qClassI[t] = lay.classIRow[r0 + t];
-            qData[t] = lay.dataRow[r0 + t];
-        }
-        for (int j = 0; j < n; ++j) {
-            float* srow = st.data() + size_t(j) * m;
-            const uint8_t kData = lay.dataRow[j], kClassI = lay.classIRow[j];
+        clock.time(kScores, [&] {
             for (int t = 0; t < m; ++t) {
-                if ((qClassI[t] && kData) || (qData[t] && kClassI)) {
-                    srow[t] = kMasked;
-                    continue;
-                }
-                srow[t] *= inv_sqrt;
-                mx[t] = std::max(mx[t], srow[t]);
+                const float* qrow = q.data() + size_t(r0 + t) * d + hh * hd;
+                for (int x = 0; x < hd; ++x)
+                    qt[size_t(x) * m + t] = qrow[x];
             }
-        }
-        // exp(kMasked - mx) is exactly +0 once mx is above kMasked, so
-        // those terms skip the exp; an all-masked column (mx == kMasked)
-        // keeps exp(0) on every key.
-        for (int j = 0; j < n; ++j) {
-            float* srow = st.data() + size_t(j) * m;
+            std::fill_n(st.begin(), size_t(n) * m, 0.f);
+            nn::gemmAccum(kh.data(), qt.data(), st.data(), n, hd, m);
+        });
+        clock.time(kSoftmax, [&] {
+            be.attnSoftmaxCols(st.data(), n, m, inv_sqrt,
+                               lay.classIRow.data(), lay.dataRow.data(),
+                               lay.classIRow.data() + r0,
+                               lay.dataRow.data() + r0);
+        });
+        clock.time(kContext, [&] {
+            std::fill_n(ct.begin(), size_t(hd) * m, 0.f);
+            nn::gemmAccum(vt.data(), st.data(), ct.data(), hd, n, m);
             for (int t = 0; t < m; ++t) {
-                float& p = srow[t];
-                p = (p == kMasked && mx[t] > kMasked) ? 0.f
-                                                      : std::exp(p - mx[t]);
-                sum[t] += p;
+                float* out = q.data() + size_t(r0 + t) * d + hh * hd;
+                for (int x = 0; x < hd; ++x)
+                    out[x] = ct[size_t(x) * m + t];
             }
-        }
-        for (int t = 0; t < m; ++t)
-            sum[t] = 1.f / sum[t];
-        for (int j = 0; j < n; ++j) {
-            float* srow = st.data() + size_t(j) * m;
-            for (int t = 0; t < m; ++t) {
-                const float w = srow[t] * sum[t];
-                srow[t] = w < kMinWeight ? 0.f : w;
-            }
-        }
-
-        std::fill_n(ct.begin(), size_t(hd) * m, 0.f);
-        nn::gemmAccum(vt.data(), st.data(), ct.data(), hd, n, m);
-        for (int t = 0; t < m; ++t) {
-            float* out = q.data() + size_t(r0 + t) * d + hh * hd;
-            for (int x = 0; x < hd; ++x)
-                out[x] = ct[size_t(x) * m + t];
-        }
+        });
     };
 
     if (prime)
@@ -259,34 +298,40 @@ InferenceSession::forward(const EncodedProgram& ep, const Layout& lay,
 
     for (int l = 0; l < layers; ++l) {
         const nn::TransformerBlock& blk = *enc.blocks[l];
+        clock.beginLayer();
 
         // LN1 + Q/K/V projections of the computed rows; reused rows pull
         // their K/V from the cache, and a priming forward stores its own.
-        for (const auto& run : runs) {
-            forTiles(run.first, run.second, [&](int r0, int m) {
-                const size_t o = size_t(r0) * d;
-                layerNorm(*blk.ln1, h.data() + o, a.data(), m);
-                linearRows(a.data(), *blk.attn->wq, q.data() + o, m);
-                linearRows(a.data(), *blk.attn->wk, k.data() + o, m);
-                linearRows(a.data(), *blk.attn->wv, v.data() + o, m);
-            });
-        }
-        if (partial) {
-            pullReused(cacheLayers_[l].k, k);
-            pullReused(cacheLayers_[l].v, v);
-        }
-        if (prime)
-            cacheLayers_[l] = {k, v};
+        clock.time(kQkv, [&] {
+            for (const auto& run : runs) {
+                forTiles(run.first, run.second, [&](int r0, int m) {
+                    const size_t o = size_t(r0) * d;
+                    layerNorm(*blk.ln1, h.data() + o, a.data(), m);
+                    linearRows(a.data(), *blk.attn->wq, q.data() + o, m);
+                    linearRows(a.data(), *blk.attn->wk, k.data() + o, m);
+                    linearRows(a.data(), *blk.attn->wv, v.data() + o, m);
+                });
+            }
+            if (partial) {
+                pullReused(cacheLayers_[l].k, k);
+                pullReused(cacheLayers_[l].v, v);
+            }
+            if (prime)
+                cacheLayers_[l] = {k, v};
+        });
 
         // Attention over every key, in query tiles inside one computed
         // run.
         for (int hh = 0; hh < heads; ++hh) {
-            for (int j = 0; j < n; ++j) {
-                const size_t src = size_t(j) * d + hh * hd;
-                std::copy_n(k.begin() + src, hd, kh.begin() + size_t(j) * hd);
-                for (int x = 0; x < hd; ++x)
-                    vt[size_t(x) * n + j] = v[src + x];
-            }
+            clock.time(kScores, [&] {
+                for (int j = 0; j < n; ++j) {
+                    const size_t src = size_t(j) * d + hh * hd;
+                    std::copy_n(k.begin() + src, hd,
+                                kh.begin() + size_t(j) * hd);
+                    for (int x = 0; x < hd; ++x)
+                        vt[size_t(x) * n + j] = v[src + x];
+                }
+            });
             for (const auto& run : runs)
                 forTiles(run.first, run.second,
                          [&](int r0, int m) { attendTile(hh, r0, m); });
@@ -297,18 +342,27 @@ InferenceSession::forward(const EncodedProgram& ep, const Layout& lay,
             forTiles(run.first, run.second, [&](int r0, int m) {
                 float* hrows = h.data() + size_t(r0) * d;
                 const size_t md = size_t(m) * d;
-                linearRows(q.data() + size_t(r0) * d, *blk.attn->wo,
-                           a.data(), m);
-                for (size_t x = 0; x < md; ++x)
-                    hrows[x] += a[x];
-                layerNorm(*blk.ln2, hrows, a.data(), m);
-                linearRows(a.data(), *blk.ff1, mid.data(), m);
-                be.geluForward(mid.data(), mid.data(), size_t(m) * ffn);
-                linearRows(mid.data(), *blk.ff2, a.data(), m);
-                for (size_t x = 0; x < md; ++x)
-                    hrows[x] += a[x];
+                clock.time(kOutLn2, [&] {
+                    linearRows(q.data() + size_t(r0) * d, *blk.attn->wo,
+                               a.data(), m);
+                    for (size_t x = 0; x < md; ++x)
+                        hrows[x] += a[x];
+                    layerNorm(*blk.ln2, hrows, a.data(), m);
+                });
+                clock.time(kFfnUp, [&] {
+                    linearRows(a.data(), *blk.ff1, mid.data(), m);
+                });
+                clock.time(kGelu, [&] {
+                    be.geluForward(mid.data(), mid.data(), size_t(m) * ffn);
+                });
+                clock.time(kFfnDown, [&] {
+                    linearRows(mid.data(), *blk.ff2, a.data(), m);
+                    for (size_t x = 0; x < md; ++x)
+                        hrows[x] += a[x];
+                });
             });
         }
+        clock.endLayer();
     }
 
     // Reused rows take their cached last-block output. A cached row's

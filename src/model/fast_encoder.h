@@ -19,9 +19,12 @@
  * row tiles through the active nn::Backend kernels (nn::gemmAccum,
  * layerNormRows, geluForward). Attention runs per head in query tiles:
  * two nn::gemmAccum products per tile (transposed scores K_h Q_h^T and
- * context V_h^T P^T) around a column-wise masked softmax. Each score and
- * context element keeps the plain ascending-key sum of a per-row loop,
- * so served values are bit-identical under every backend.
+ * context V_h^T P^T) around the backend's column softmax
+ * (Backend::attnSoftmaxCols: scale, separation mask, max, exp, sum,
+ * normalize, 1e-9 drop). Each score and context element keeps the plain
+ * ascending-key sum of a per-row loop, so served values are
+ * bit-identical under every backend. With tracing on, each layer
+ * records one `model.forward.<stage>` span per stage.
  *
  * As in the paper (Figure 6 and its corner-region discussion), reuse of a
  * cached row's block output ignores multi-hop influence of the changed

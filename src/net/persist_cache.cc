@@ -5,6 +5,7 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "model/cost_model.h"
 #include "net/protocol.h"
 #include "util/string_util.h"
 
@@ -85,6 +86,15 @@ PersistentResultCache::load(const std::string& path, uint64_t modelVersion)
         stats.clean = false;
         return stats;
     }
+    uint32_t numerics = r.u32();
+    if (r.ok() && numerics != model::kNumericsVersion) {
+        std::fprintf(stderr,
+                     "[llm_net] persistent cache %s: numerics version %u "
+                     "(want %u), ignoring\n",
+                     path.c_str(), numerics, model::kNumericsVersion);
+        stats.clean = false;
+        return stats;
+    }
     uint64_t count = r.u64();
     if (!r.ok()) // truncated inside the header
         stats.clean = false;
@@ -145,6 +155,7 @@ PersistentResultCache::save(const std::string& path) const
         std::lock_guard<std::mutex> lk(mu_);
         wire::putU32(bytes, kMagic);
         wire::putU32(bytes, kFormatVersion);
+        wire::putU32(bytes, model::kNumericsVersion);
         wire::putU64(bytes, lru_.size());
         for (const Entry& e : lru_) {
             wire::putU64(bytes, e.first.program);

@@ -16,6 +16,7 @@
  *
  *   u32 magic "LMPC"        (0x4C4D5043)
  *   u32 format version      (kFormatVersion)
+ *   u32 numerics version    (model::kNumericsVersion at save time)
  *   u64 entry count
  *   per entry: u64 program, u64 input, i32 metric, u64 modelVersion,
  *              then the prediction exactly as on the wire (i64 value,
@@ -24,10 +25,12 @@
  * save() is atomic (temp file + rename, pid+sequence staging suffix —
  * the model_cache pattern), so a crashed or concurrent writer can
  * never leave a torn file for the next startup to read. load() is
- * paranoid in the other direction: wrong magic or format version loads
- * nothing, truncation keeps every entry decoded before the cut, and
- * entries from a different model version are skipped — each with a
- * one-line stderr warning, never a crash (pinned by test_net).
+ * paranoid in the other direction: wrong magic, format version or
+ * numerics version loads nothing (a snapshot computed under other float
+ * numerics would answer with values this build no longer serves),
+ * truncation keeps every entry decoded before the cut, and entries from
+ * a different model version are skipped — each with a one-line stderr
+ * warning, never a crash (pinned by test_net).
  */
 
 #include <cstdint>
@@ -47,7 +50,7 @@ class PersistentResultCache
 {
   public:
     static constexpr uint32_t kMagic = 0x4C4D5043; // "LMPC"
-    static constexpr uint32_t kFormatVersion = 1;
+    static constexpr uint32_t kFormatVersion = 2; //!< 2: numerics field
 
     /** `capacity` caps in-memory (and therefore saved) entries. */
     explicit PersistentResultCache(size_t capacity);
@@ -65,7 +68,7 @@ class PersistentResultCache
     struct LoadStats
     {
         bool fileFound = false; //!< false = clean cold start, no warning
-        bool clean = true;      //!< false = header/truncation damage
+        bool clean = true;      //!< false = header rejected or truncated
         size_t loaded = 0;      //!< entries accepted into memory
         size_t staleSkipped = 0; //!< entries from another model version
     };
@@ -73,7 +76,8 @@ class PersistentResultCache
     /**
      * Merge a snapshot from `path` into the cache, keeping only
      * entries stamped with `modelVersion` (stale weight generations
-     * must not answer queries). Corruption — wrong magic or format
+     * must not answer queries); a snapshot saved under another
+     * model::kNumericsVersion loads nothing. Corruption — wrong magic or format
      * version, truncated entries — degrades to whatever decoded
      * cleanly, with a warning on stderr.
      */

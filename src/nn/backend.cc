@@ -19,6 +19,7 @@ const Backend kScalar = {
     kernels::scalar::gemmAccumBt,
     kernels::scalar::gemmAccumAt,
     kernels::scalar::softmaxRows,
+    kernels::scalar::attnSoftmaxCols,
     kernels::scalar::layerNormRows,
     kernels::scalar::geluForward,
     kernels::scalar::addElem,
@@ -34,6 +35,7 @@ const Backend kVector = {
     kernels::vec::gemmAccumBt,
     kernels::vec::gemmAccumAt,
     kernels::vec::softmaxRows,
+    kernels::vec::attnSoftmaxCols,
     kernels::vec::layerNormRows,
     kernels::vec::geluForward,
     kernels::vec::addElem,

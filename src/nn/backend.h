@@ -31,6 +31,17 @@
  * backend is byte-identical to one trained under the other
  * (tests/test_nn_backend.cc pins all of this).
  *
+ * The transcendental kernels (softmaxRows, attnSoftmaxCols,
+ * geluForward) obey the same rule: both backends evaluate exp with the
+ * repo's own branch-free expf (nn/expf.h, at most 1 ulp from the
+ * correctly rounded value), one template instantiated per lane type, so
+ * the vector backend's eight-lane exp is the scalar exp lane for lane.
+ * No libm call sits in a kernel: a libm exp or tanh could differ from
+ * the repo exp, and a vector math library from libm. A change to these
+ * numerics moves served and trained values; it bumps
+ * model::kNumericsVersion, which keys the model cache and persisted
+ * result snapshots.
+ *
  * ## Finite-input contract
  *
  * The GEMM kernels skip zero multiplier elements (`a == 0.0f`, which is
@@ -53,6 +64,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace llmulator {
@@ -92,9 +104,26 @@ struct Backend
 
     /**
      * Row-wise softmax, y[i,:] = softmax(x[i,:]): per row, subtract the
-     * row max, exponentiate, normalize by the ascending-j sum of exps.
+     * row max, exponentiate (the repo exp, nn/expf.h), normalize by the
+     * ascending-j sum of exps.
      */
     void (*softmaxRows)(const float* x, float* y, int m, int n);
+
+    /**
+     * Attention column softmax, in place over S^T [n keys, m queries]
+     * (row j holds key j's scores against the m queries). Per query
+     * column t: a key j is masked when (queryClassI[t] && keyData[j]) or
+     * (queryData[t] && keyClassI[j]) -- the Class-I/data separation
+     * mask, from per-row flag bytes -- and scores to -1e30; every other
+     * score is multiplied by `scale`. Then the column max (from -1e30),
+     * exp(s - max), the ascending-j sum, the normalize by 1 / sum, and
+     * weights below 1e-9 set to +0. Masked keys get weight +0 unless the
+     * whole column is masked, which yields uniform weights.
+     */
+    void (*attnSoftmaxCols)(float* st, int n, int m, float scale,
+                            const uint8_t* keyClassI, const uint8_t* keyData,
+                            const uint8_t* queryClassI,
+                            const uint8_t* queryData);
 
     /**
      * Fused row-wise layer norm forward. Writes the output y[m,n], the
@@ -106,7 +135,11 @@ struct Backend
                           const float* beta, float eps, float* y,
                           float* xhat, float* invstd, int m, int n);
 
-    /** GELU forward (tanh approximation), y[i] = gelu(x[i]). */
+    /**
+     * GELU forward (tanh approximation), y[i] = gelu(x[i]), evaluated as
+     * x / (1 + exp(-2u)) with u = sqrt(2/pi) * (x + 0.044715 x^3) -- the
+     * exact identity for 0.5 x (1 + tanh u), through the repo exp.
+     */
     void (*geluForward)(const float* x, float* y, std::size_t n);
 
     /** y[i] = a[i] + b[i]. */

@@ -1,16 +1,24 @@
 /**
  * @file
  * The "scalar" backend: the original naive nn kernels, moved here
- * verbatim from ops.cc when the backend seam was introduced. This is
- * the bit-for-bit reference every other backend must match on finite
+ * from ops.cc when the backend seam was introduced. This is the
+ * bit-for-bit reference every other backend must match on finite
  * inputs (backend.h spells out the contracts); treat the float
- * operation sequences below as frozen.
+ * operation sequences below as frozen. Every exp goes through the repo
+ * exp (nn/expf.h); changing any sequence here moves served values and
+ * bumps model::kNumericsVersion.
+ *
+ * This TU also holds the backend-independent kernels::expf and
+ * kernels::geluBackward, so they compile under the same
+ * -ffp-contract=off flags.
  */
 
 #include "nn/kernels.h"
 
 #include <algorithm>
 #include <cmath>
+
+#include "nn/expf.h"
 
 namespace llmulator {
 namespace nn {
@@ -81,7 +89,7 @@ softmaxRows(const float* x, float* y, int m, int n)
             mx = std::max(mx, in[j]);
         float sum = 0.f;
         for (int j = 0; j < n; ++j) {
-            out[j] = std::exp(in[j] - mx);
+            out[j] = expLanes(in[j] - mx);
             sum += out[j];
         }
         float inv = 1.f / sum;
@@ -117,13 +125,21 @@ layerNormRows(const float* x, const float* gamma, const float* beta,
 }
 
 void
+attnSoftmaxCols(float* st, int n, int m, float scale,
+                const uint8_t* keyClassI, const uint8_t* keyData,
+                const uint8_t* queryClassI, const uint8_t* queryData)
+{
+    for (int t = 0; t < m; ++t)
+        attnSoftmaxLanes(st + t, n, m, scale, keyClassI, keyData,
+                         queryClassI[t] ? 1.f : 0.f,
+                         queryData[t] ? 1.f : 0.f);
+}
+
+void
 geluForward(const float* x, float* y, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        float v = x[i];
-        float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
-        y[i] = 0.5f * v * (1.f + t);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] = geluLanes(x[i]);
 }
 
 void
@@ -162,6 +178,25 @@ scaleElem(float alpha, const float* x, float* y, std::size_t n)
 }
 
 } // namespace scalar
+
+float
+expf(float x)
+{
+    return expLanes(x);
+}
+
+void
+geluBackward(const float* x, const float* dy, float* dx, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        float v = x[i];
+        float s = 1.f / (geluExpLanes(v) + 1.f);
+        float du = kGeluC * (1.f + 3.f * kGeluA * v * v);
+        float ds = 2.f * s * (1.f - s) * du;
+        dx[i] += dy[i] * (s + v * ds);
+    }
+}
+
 } // namespace kernels
 } // namespace nn
 } // namespace llmulator

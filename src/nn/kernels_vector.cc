@@ -27,9 +27,21 @@
  *
  * The row-wise primitives (softmax, layer norm) are reduction-shaped:
  * their sums must stay ascending to preserve bit-identity, so only
- * their independent elementwise stages (exp input prep, normalize,
- * scale-shift) differ from scalar — marked __restrict and written as
- * plain dense loops the auto-vectorizer handles.
+ * their independent elementwise stages differ from scalar. softmaxRows
+ * runs its exps eight keys at a time and its max in eight running
+ * lanes; layer norm's scale-shift is a plain dense loop the
+ * auto-vectorizer handles.
+ *
+ * The transcendental kernels call the repo exp (nn/expf.h), one
+ * branch-free template the scalar kernels instantiate for a float and
+ * these kernels for v8f/v16f lanes, so every lane runs the scalar
+ * sequence:
+ *
+ *  - softmaxRows:     exp over 8-key groups, sum still j-ascending.
+ *  - attnSoftmaxCols: the attention softmax down S^T's columns, 16 (then
+ *                     8) query columns per lane group; each column's
+ *                     max, sum and normalize chains stay j-ascending.
+ *  - geluForward:     8 elements per step through geluLanes.
  *
  * On x86-64/glibc the hot kernels are compiled via target_clones into
  * default/AVX2/AVX-512 variants with runtime dispatch, so a generic
@@ -44,6 +56,8 @@
 #include <cmath>
 #include <cstring>
 #include <vector>
+
+#include "nn/expf.h"
 
 // ThreadSanitizer segfaults at startup when glibc resolves the ifunc
 // dispatchers target_clones emits (the resolver runs before the TSan
@@ -97,6 +111,14 @@ constexpr int kNR = 16; //!< column block held in registers (2 x v8f)
  * which was SLOWER than the scalar reference.
  */
 typedef float v8f __attribute__((vector_size(32)));
+
+/**
+ * 16-wide float vector: one zmm under the AVX-512 clone, two ymm under
+ * AVX2. The attention column softmax runs a whole 16-query tile as one
+ * lane group, so its latency-bound max and sum chains (one add per key)
+ * cover twice the columns per step.
+ */
+typedef float v16f __attribute__((vector_size(64)));
 
 __attribute__((always_inline)) inline v8f
 load8(const float* p)
@@ -406,25 +428,80 @@ gemmAccumAt(const float* a, const float* dc, float* out, int m, int k, int n)
 LLM_KERNEL_CLONES void
 softmaxRows(const float* x, float* y, int m, int n)
 {
-    // The exp-sum must stay j-ascending for bit-identity and exp() is a
-    // scalar libm call, so only the max scan and the normalize step are
-    // restructured for the vectorizer. max() is exact under any
-    // evaluation order on the finite inputs the contract admits.
+    // exp runs eight keys at a time through the shared expLanes (lane for
+    // lane the scalar kernel's call); the exp-sum stays a j-ascending
+    // scalar chain for bit-identity. max() is exact under any evaluation
+    // order on the finite inputs the contract admits.
     for (int i = 0; i < m; ++i) {
         const float* __restrict in = x + size_t(i) * n;
         float* __restrict out = y + size_t(i) * n;
+        int j = 0;
         float mx = in[0];
-        for (int j = 1; j < n; ++j)
-            mx = std::max(mx, in[j]);
-        float sum = 0.f;
-        for (int j = 0; j < n; ++j) {
-            out[j] = std::exp(in[j] - mx);
-            sum += out[j];
+        if (n >= 8) {
+            // Eight running maxima, folded at the end.
+            v8f m8 = load8(in);
+            for (j = 8; j + 8 <= n; j += 8) {
+                v8f v = load8(in + j);
+                m8 = v > m8 ? v : m8;
+            }
+            for (int l = 0; l < 8; ++l)
+                mx = std::max(mx, m8[l]);
         }
+        for (; j < n; ++j)
+            mx = std::max(mx, in[j]);
+        for (j = 0; j + 8 <= n; j += 8)
+            store8(out + j, expLanes(load8(in + j) - mx));
+        for (; j < n; ++j)
+            out[j] = expLanes(in[j] - mx);
+        float sum = 0.f;
+        for (j = 0; j < n; ++j)
+            sum += out[j];
         float inv = 1.f / sum;
-        for (int j = 0; j < n; ++j)
+        for (j = 0; j < n; ++j)
             out[j] *= inv;
     }
+}
+
+namespace {
+
+/** attnSoftmaxLanes over the lane group of query columns [t, t + lanes). */
+template <typename F>
+__attribute__((always_inline)) inline void
+attnSoftmaxGroup(float* st, int n, int m, int t, float scale,
+                 const uint8_t* keyClassI, const uint8_t* keyData,
+                 const uint8_t* queryClassI, const uint8_t* queryData)
+{
+    F qc, qd;
+    for (int l = 0; l < int(sizeof(F) / sizeof(float)); ++l) {
+        qc[l] = queryClassI[t + l] ? 1.f : 0.f;
+        qd[l] = queryData[t + l] ? 1.f : 0.f;
+    }
+    attnSoftmaxLanes(st + t, n, m, scale, keyClassI, keyData, qc, qd);
+}
+
+} // namespace
+
+LLM_KERNEL_CLONES void
+attnSoftmaxCols(float* st, int n, int m, float scale,
+                const uint8_t* keyClassI, const uint8_t* keyData,
+                const uint8_t* queryClassI, const uint8_t* queryData)
+{
+    // Sixteen (then eight) query columns per pass; each column's max,
+    // exp-sum and normalize chains run over j in the scalar kernel's
+    // order, so vectorizing across columns keeps every lane
+    // bit-identical. Columns past the last full group take the scalar
+    // lane body.
+    int t = 0;
+    for (; t + 16 <= m; t += 16)
+        attnSoftmaxGroup<v16f>(st, n, m, t, scale, keyClassI, keyData,
+                               queryClassI, queryData);
+    for (; t + 8 <= m; t += 8)
+        attnSoftmaxGroup<v8f>(st, n, m, t, scale, keyClassI, keyData,
+                              queryClassI, queryData);
+    for (; t < m; ++t)
+        attnSoftmaxLanes(st + t, n, m, scale, keyClassI, keyData,
+                         queryClassI[t] ? 1.f : 0.f,
+                         queryData[t] ? 1.f : 0.f);
 }
 
 LLM_KERNEL_CLONES void
@@ -457,18 +534,16 @@ layerNormRows(const float* x, const float* gamma, const float* beta,
     }
 }
 
-void
+LLM_KERNEL_CLONES void
 geluForward(const float* x, float* y, std::size_t n)
 {
-    // tanh() is a scalar libm call, so this matches the scalar kernel;
-    // it lives here (not shared) so a future backend with a vector math
-    // library has an obvious seam — any replacement must keep bitwise
-    // results, which rules out polynomial tanh approximations.
-    for (std::size_t i = 0; i < n; ++i) {
-        float v = x[i];
-        float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
-        y[i] = 0.5f * v * (1.f + t);
-    }
+    // Eight elements per step through the shared geluLanes; the tail
+    // runs the same body on single floats.
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        store8(y + i, geluLanes(load8(x + i)));
+    for (; i < n; ++i)
+        y[i] = geluLanes(x[i]);
 }
 
 LLM_KERNEL_CLONES void

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "nn/backend.h"
-#include "nn/kernels.h" // kGeluC/kGeluA, shared with the backend kernels
+#include "nn/kernels.h" // geluBackward, compiled with the kernels
 #include "obs/metrics.h"
 #include "util/common.h"
 
@@ -287,9 +287,6 @@ softmaxRows(const TensorPtr& x)
     return out;
 }
 
-using kernels::kGeluA;
-using kernels::kGeluC;
-
 TensorPtr
 gelu(const TensorPtr& x)
 {
@@ -302,14 +299,8 @@ gelu(const TensorPtr& x)
         Tensor* self = out.get();
         out->backwardFn = [self, x]() {
             x->ensureGrad();
-            for (size_t i = 0; i < x->grad.size(); ++i) {
-                float v = x->value[i];
-                float inner = kGeluC * (v + kGeluA * v * v * v);
-                float t = std::tanh(inner);
-                float dinner = kGeluC * (1.f + 3.f * kGeluA * v * v);
-                float d = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dinner;
-                x->grad[i] += self->grad[i] * d;
-            }
+            kernels::geluBackward(x->value.data(), self->grad.data(),
+                                  x->grad.data(), x->grad.size());
         };
     }
     return out;

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "nn/kernels.h"
 #include "nn/optim.h"
 #include "nn/ops.h"
+#include "obs/trace.h"
 #include "sim/profiler.h"
 #include "workloads/workloads.h"
 
@@ -353,7 +356,8 @@ struct ReferenceTally
  * The session's encoder forward written as plain per-row loops over the
  * encoder's public weights, in the float order served values follow:
  * bias-first linear layers (ascending-k sums that skip zero inputs),
- * LayerNorm and GELU as the scalar backend computes them, and per-row,
+ * LayerNorm and GELU (x / (1 + exp(-2u))) as the scalar backend computes
+ * them, every exp through the repo exp (nn::kernels::expf), and per-row,
  * per-head attention with the -1e30 separation mask and weights below
  * 1e-9 left out of the context. Returns the mean-pooled row [dim].
  */
@@ -441,7 +445,7 @@ referencePooled(const CostModel& m, const model::EncodedProgram& ep,
                 }
                 float sum = 0.f;
                 for (int j = 0; j < n; ++j) {
-                    scores[j] = std::exp(scores[j] - mx);
+                    scores[j] = nn::kernels::expf(scores[j] - mx);
                     sum += scores[j];
                 }
                 float invs = 1.f / sum;
@@ -465,9 +469,9 @@ referencePooled(const CostModel& m, const model::EncodedProgram& ep,
             layerNorm(*blk->ln2, row, a.data());
             linear(*blk->ff1, a.data(), mid.data());
             for (float& x : mid) {
-                float t = std::tanh(nn::kernels::kGeluC *
-                                    (x + nn::kernels::kGeluA * x * x * x));
-                x = 0.5f * x * (1.f + t);
+                float u = nn::kernels::kGeluC *
+                          (x + nn::kernels::kGeluA * x * x * x);
+                x = x / (nn::kernels::expf(u * -2.f) + 1.f);
             }
             linear(*blk->ff2, mid.data(), proj.data());
             for (int j = 0; j < d; ++j)
@@ -552,6 +556,37 @@ TEST(FastEncoder, SessionMatchesPlainReferenceForwardBitForBit)
             }
         }
     }
+}
+
+TEST(FastEncoder, TracedForwardRecordsEachStageOncePerLayer)
+{
+    // With tracing on, a forward records one span per stage per layer
+    // (tile and head times summed) and no other span, and its values
+    // stay bit-identical to an untraced forward.
+    auto cfg = tinyConfig();
+    CostModel m(cfg);
+    const auto modern = workloads::modern();
+    const auto ep = m.encode(modern[3].graph, &modern[3].canonicalData);
+    model::InferenceSession session(m);
+
+    const bool wasOn = obs::traceEnabled();
+    obs::setTraceEnabled(false);
+    const std::vector<float> plain = session.pooled(ep, false)->value;
+    obs::setTraceEnabled(true);
+    obs::clearSpans();
+    const std::vector<float> traced = session.pooled(ep, false)->value;
+    std::map<std::string, int> counts;
+    for (const obs::SpanEvent& e : obs::collectSpans())
+        ++counts[e.name];
+    obs::setTraceEnabled(wasOn);
+
+    EXPECT_TRUE(bitEqual(plain, traced));
+    const int layers = cfg.enc.layers;
+    for (const char* stage : {"qkv", "scores", "softmax", "context",
+                              "out_ln2", "ffn_up", "gelu", "ffn_down"})
+        EXPECT_EQ(counts[std::string("model.forward.") + stage], layers)
+            << stage;
+    EXPECT_EQ(counts.size(), 8u);
 }
 
 TEST(FastEncoder, StaticPrefixChangeInvalidatesCache)

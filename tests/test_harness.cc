@@ -109,6 +109,20 @@ TEST(Harness, DatasetKeyIsSensitive)
     EXPECT_NE(harness::datasetKey(a), harness::datasetKey(b));
 }
 
+TEST(Harness, ModelCacheKeyDependsOnNumericsVersion)
+{
+    // Artifacts trained under other float numerics must never load: the
+    // numerics version is part of every model-cache key.
+    auto ds = tinyDataset();
+    harness::TrainConfig tcfg;
+    const std::string cur = harness::modelCacheKey("m", 7, ds, tcfg);
+    EXPECT_EQ(cur, harness::modelCacheKey("m", 7, ds, tcfg,
+                                          model::kNumericsVersion));
+    EXPECT_NE(cur, harness::modelCacheKey("m", 7, ds, tcfg,
+                                          model::kNumericsVersion + 1));
+    EXPECT_NE(cur, harness::modelCacheKey("m", 7, ds, tcfg, 0));
+}
+
 TEST(Harness, FamilyDataNeverDuplicatesCanonicalWorkloads)
 {
     synth::Dataset ds;

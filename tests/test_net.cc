@@ -19,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -32,6 +34,7 @@
 #include "dfir/parser.h"
 #include "dfir/passes.h"
 #include "dfir/printer.h"
+#include "model/cost_model.h"
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/fleet_sim.h"
@@ -320,6 +323,49 @@ TEST(PersistentCache, StaleModelVersionEntriesAreSkipped)
     model::NumericPrediction out;
     EXPECT_FALSE(warm.get(someKey(1, 0), out));
     EXPECT_TRUE(warm.get(someKey(2, 5), out));
+    std::remove(path.c_str());
+}
+
+TEST(PersistentCache, OtherNumericsVersionLoadsNothing)
+{
+    // A snapshot stamped with another model::kNumericsVersion holds
+    // values this build's forward no longer computes: it must load
+    // nothing, with one warning line, even where the model version
+    // matches.
+    std::string path = tempPath("numerics");
+    net::PersistentResultCache cache(16);
+    cache.put(someKey(1), somePrediction(1));
+    cache.put(someKey(2), somePrediction(2));
+    ASSERT_TRUE(cache.save(path));
+
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // The header is magic, format version, numerics version (u32 each).
+    std::string numerics;
+    net::wire::putU32(numerics, model::kNumericsVersion);
+    ASSERT_EQ(bytes.compare(8, 4, numerics), 0);
+    numerics.clear();
+    net::wire::putU32(numerics, model::kNumericsVersion + 1);
+    bytes.replace(8, 4, numerics);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    net::PersistentResultCache warm(16);
+    testing::internal::CaptureStderr();
+    auto ls = warm.load(path, /*modelVersion=*/0);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(ls.fileFound);
+    EXPECT_FALSE(ls.clean);
+    EXPECT_EQ(ls.loaded, 0u);
+    EXPECT_EQ(warm.size(), 0u);
+    EXPECT_NE(err.find("numerics version"), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
     std::remove(path.c_str());
 }
 

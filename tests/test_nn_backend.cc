@@ -19,11 +19,18 @@
  *     exists only relative to an unskipped evaluation.
  *  4. Selection: setBackendByName / the LLMULATOR_NN_BACKEND contract
  *     ("auto"/empty resolve to vector, unknown names are rejected).
+ *  5. The repo exp (nn/expf.h) is within 1 ulp of the correctly rounded
+ *     e^x over the normal-result range and flushes subnormal results
+ *     to +0, the attention column softmax and GELU agree across backends
+ *     bit for bit (masked keys, all-masked columns, extreme inputs), and
+ *     the GELU backward matches finite differences of its forward.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -33,6 +40,7 @@
 #include "model/cost_model.h"
 #include "model/fast_encoder.h"
 #include "nn/backend.h"
+#include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -215,6 +223,212 @@ TEST(NnBackend, RowWiseKernelsBitIdentity)
         sc.scaleElem(-1.7f, x.data(), o1.data(), sz);
         ve.scaleElem(-1.7f, x.data(), o2.data(), sz);
         EXPECT_TRUE(bitEqual(o1, o2)) << "scaleElem " << sz;
+    }
+}
+
+/**
+ * Distance in ulps between two non-NaN floats: the count of floats
+ * between them, with -0 and +0 one point (0 for equal infinities).
+ */
+int64_t
+ulpDistance(float a, float b)
+{
+    auto ordered = [](float f) {
+        int32_t i;
+        std::memcpy(&i, &f, sizeof i);
+        return i < 0 ? int64_t(INT32_MIN) - i : int64_t(i);
+    };
+    return std::llabs(ordered(a) - ordered(b));
+}
+
+/** The correctly rounded e^x, via double precision. */
+float
+expRef(float x)
+{
+    return static_cast<float>(std::exp(static_cast<double>(x)));
+}
+
+TEST(NnBackend, RepoExpWithinOneUlpOfCorrectlyRounded)
+{
+    // A dense stride over every float bit pattern in the normal-result
+    // range [ln FLT_MIN, 88.8] (results past ln FLT_MAX are +inf).
+    const float lnMin = -87.3365f;
+    int64_t worst = 0;
+    float worstAt = 0.f;
+    long checked = 0;
+    for (uint64_t b = 0; b < (uint64_t(1) << 32); b += 4099) {
+        const uint32_t bits = static_cast<uint32_t>(b);
+        float x;
+        std::memcpy(&x, &bits, sizeof x);
+        if (!(x >= lnMin && x <= 88.8f))
+            continue;
+        const int64_t d = ulpDistance(nn::kernels::expf(x), expRef(x));
+        if (d > worst) {
+            worst = d;
+            worstAt = x;
+        }
+        ++checked;
+    }
+    EXPECT_GT(checked, 100000);
+    EXPECT_LE(worst, 1) << "at x = " << worstAt;
+
+    // Edges: signed zeros give exactly 1; the ends of the normal range
+    // stay within 1 ulp; past ln FLT_MAX (88.72) the result is +inf.
+    EXPECT_EQ(nn::kernels::expf(0.f), 1.f);
+    EXPECT_EQ(nn::kernels::expf(-0.f), 1.f);
+    for (float x : {lnMin, -87.33f, -87.3f, -87.f, 88.7f, 88.72f, 88.73f,
+                    88.8f, 100.f, 1e30f})
+        EXPECT_LE(ulpDistance(nn::kernels::expf(x), expRef(x)), 1)
+            << "x = " << x << " got " << nn::kernels::expf(x);
+    EXPECT_TRUE(std::isfinite(nn::kernels::expf(88.72f)));
+    EXPECT_EQ(nn::kernels::expf(88.73f),
+              std::numeric_limits<float>::infinity());
+    EXPECT_EQ(nn::kernels::expf(std::numeric_limits<float>::infinity()),
+              std::numeric_limits<float>::infinity());
+
+    // Below ln FLT_MIN (-87.3365) the true result is subnormal; the repo
+    // exp flushes it to exactly +0 (an absolute error under FLT_MIN).
+    for (float x : {-87.34f, -87.5f, -90.f, -103.9f, -104.f, -150.f,
+                    -1e30f, -std::numeric_limits<float>::infinity()}) {
+        EXPECT_EQ(nn::kernels::expf(x), 0.f) << "x = " << x;
+        EXPECT_FALSE(std::signbit(nn::kernels::expf(x))) << "x = " << x;
+        EXPECT_LT(expRef(x), std::numeric_limits<float>::min());
+    }
+}
+
+TEST(NnBackend, AttnSoftmaxColsBitIdentityAndMasking)
+{
+    util::Rng rng(404);
+    const nn::Backend& sc = nn::scalarBackend();
+    const nn::Backend& ve = nn::vectorBackend();
+    const float scale = 0.2886751f; // 1/sqrt(12), the Small head dim
+    for (int n : {1, 5, 37, 130}) {
+        // Keys: a run of Class I rows, a run of data rows, plain rows.
+        std::vector<uint8_t> kClassI(n, 0), kData(n, 0);
+        for (int j = 0; j < n; ++j) {
+            kClassI[j] = j % 5 == 1;
+            kData[j] = j % 5 == 3 || j % 5 == 4;
+        }
+        for (int m = 1; m <= 16; ++m) {
+            // Query 0 is Class I (it loses the data keys); query 1 is data
+            // (it loses the Class I keys); the rest are random.
+            std::vector<uint8_t> qClassI(m, 0), qData(m, 0);
+            for (int t = 0; t < m; ++t) {
+                qClassI[t] = t == 0 || (t > 1 && rng.uniform(0, 1) < 0.3);
+                qData[t] = t == 1 || (t > 1 && !qClassI[t] &&
+                                      rng.uniform(0, 1) < 0.3);
+            }
+            auto st = randVec(size_t(n) * m, rng, 8.0);
+            std::vector<float> s1 = st, s2 = st;
+            sc.attnSoftmaxCols(s1.data(), n, m, scale, kClassI.data(),
+                               kData.data(), qClassI.data(), qData.data());
+            ve.attnSoftmaxCols(s2.data(), n, m, scale, kClassI.data(),
+                               kData.data(), qClassI.data(), qData.data());
+            EXPECT_TRUE(bitEqual(s1, s2)) << "n=" << n << " m=" << m;
+
+            for (int t = 0; t < m; ++t) {
+                float sum = 0.f;
+                bool anyOpen = false;
+                for (int j = 0; j < n; ++j) {
+                    const float w = s1[size_t(j) * m + t];
+                    const bool masked = (qClassI[t] && kData[j]) ||
+                                        (qData[t] && kClassI[j]);
+                    anyOpen |= !masked;
+                    EXPECT_TRUE(w == 0.f || w >= 1e-9f);
+                    if (masked) {
+                        EXPECT_EQ(w, 0.f) << "masked key " << j;
+                    }
+                    sum += w;
+                }
+                if (anyOpen) {
+                    EXPECT_NEAR(sum, 1.f, 1e-4f) << "column " << t;
+                }
+            }
+        }
+    }
+
+    // An all-masked column (a Class I query against data-only keys)
+    // keeps e^0 on every key: uniform weights, equal on both backends.
+    const int n = 7, m = 3;
+    std::vector<uint8_t> kClassI(n, 0), kData(n, 1);
+    std::vector<uint8_t> qClassI = {1, 0, 1}, qData = {0, 1, 0};
+    auto st = randVec(size_t(n) * m, rng, 4.0);
+    std::vector<float> s1 = st, s2 = st;
+    sc.attnSoftmaxCols(s1.data(), n, m, scale, kClassI.data(), kData.data(),
+                       qClassI.data(), qData.data());
+    ve.attnSoftmaxCols(s2.data(), n, m, scale, kClassI.data(), kData.data(),
+                       qClassI.data(), qData.data());
+    EXPECT_TRUE(bitEqual(s1, s2));
+    for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(s1[size_t(j) * m + 0], 1.f / n);
+        EXPECT_EQ(s1[size_t(j) * m + 2], 1.f / n);
+    }
+}
+
+TEST(NnBackend, GeluForwardBitIdentityIncludingExtremes)
+{
+    util::Rng rng(505);
+    std::vector<float> x = randVec(1000, rng, 3.0);
+    for (float e : {0.f, -0.f, 1e-30f, -1e-30f, 4.5f, -4.5f, 9.f, -9.f,
+                    20.f, -20.f, 100.f, -100.f, 1e10f, -1e10f, 1e20f,
+                    -1e20f, 3e38f, -3e38f})
+        x.push_back(e);
+    for (size_t sz : {size_t(1), size_t(7), size_t(8), size_t(9),
+                      x.size()}) {
+        std::vector<float> y1(sz), y2(sz);
+        nn::scalarBackend().geluForward(x.data(), y1.data(), sz);
+        nn::vectorBackend().geluForward(x.data(), y2.data(), sz);
+        EXPECT_TRUE(bitEqual(y1, y2)) << "size " << sz;
+    }
+    std::vector<float> y(x.size());
+    nn::vectorBackend().geluForward(x.data(), y.data(), x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(y[i])) << "x = " << x[i];
+        // The exact tanh form, in double, within float noise.
+        const double v = x[i];
+        const double u = 0.7978845608028654 * (v + 0.044715 * v * v * v);
+        const double ref = 0.5 * v * (1.0 + std::tanh(u));
+        if (std::isfinite(ref)) {
+            EXPECT_NEAR(y[i], ref, 1e-6 * std::max(1.0, std::fabs(ref)))
+                << "x = " << x[i];
+        }
+    }
+}
+
+TEST(NnBackend, GeluBackwardMatchesFiniteDifferences)
+{
+    // The tape's GELU gradient (kernels::geluBackward) against a central
+    // difference of the forward kernel, over the range where GELU bends
+    // and out into both saturated tails.
+    BackendGuard guard;
+    for (const nn::Backend* be : {&nn::scalarBackend(),
+                                  &nn::vectorBackend()}) {
+        nn::setBackend(*be);
+        std::vector<float> xs;
+        for (float v = -8.f; v <= 8.f; v += 0.0625f)
+            xs.push_back(v + 0.01f);
+        for (float v : {-60.f, -25.f, 25.f, 60.f})
+            xs.push_back(v);
+        auto x = Tensor::fromData(1, int(xs.size()), xs, true);
+        nn::sumAll(nn::gelu(x))->backward();
+        const double h = 1e-2;
+        for (size_t i = 0; i < xs.size(); ++i) {
+            ASSERT_TRUE(std::isfinite(x->grad[i])) << "x = " << xs[i];
+            float up = 0.f, down = 0.f;
+            const float xp = float(xs[i] + h), xm = float(xs[i] - h);
+            be->geluForward(&xp, &up, 1);
+            be->geluForward(&xm, &down, 1);
+            const double numeric = (double(up) - double(down)) / (xp - xm);
+            EXPECT_NEAR(x->grad[i], numeric,
+                        2e-3 * std::max(1.0, std::fabs(numeric)))
+                << be->name << " x = " << xs[i];
+        }
+
+        // Far tails: the slope saturates to exactly 0 and 1.
+        auto tails = Tensor::fromData(1, 2, {-1e6f, 1e6f}, true);
+        nn::sumAll(nn::gelu(tails))->backward();
+        EXPECT_EQ(tails->grad[0], 0.f) << be->name;
+        EXPECT_EQ(tails->grad[1], 1.f) << be->name;
     }
 }
 
